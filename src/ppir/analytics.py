@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .errors import PartitionInfeasible, TooLargeToEnumerate
+from .errors import TooLargeToEnumerate
 from .queries import (
     Chooser,
     DeadEnd,
@@ -31,6 +31,7 @@ from .queries import (
     _retrying,
     build_multi_plan,
     build_single_plan,
+    require_even_partition,
 )
 from .scenario import Scenario
 
@@ -225,11 +226,7 @@ def _plan_builder(s: Scenario, demands, mode: str):
         v = demands if isinstance(demands, int) else demands[0]
         return lambda chooser: build_single_plan(s, v, chooser)
     demands = tuple(demands)
-    if (s.identifiable_count - 1) % s.user_count != 0:
-        raise PartitionInfeasible(
-            f"{s.identifiable_count - 1} helper classes cannot be split evenly "
-            f"across {s.user_count} users"
-        )
+    require_even_partition(s)
     return lambda chooser: build_multi_plan(s, demands, chooser)
 
 

@@ -8,7 +8,8 @@ index twice, whatever the desired class was.
 Every "pick one element of this set" step goes through a Chooser, so the same
 builder code is driven three ways: a seeded RNG for protocol runs, exhaustive
 tree walks for the exact distribution oracle, and recorded replays for Monte
-Carlo audits.  Pick sets are always materialised in sorted order and the pick
+Carlo audits.  Picks index pick sets in sorted order, and fresh subclass
+indices are found as ranks in that order without building the set; the pick
 sequence is fixed (documented on each builder), which makes generation a pure
 function of (scenario, demands, seed).
 
@@ -51,6 +52,20 @@ class Chooser:
         if len(options) == 1:
             return options[0]
         return options[self._pick_index(len(options))]
+
+    def pick_fresh(self, size: int, *excluded) -> int:
+        """``pick`` over [1, size] minus the excluded sets, without building that pool:
+        the same draw picks the same rank, which steps past each excluded index at or below it."""
+        gaps = sorted(set().union(*excluded))
+        n = size - len(gaps)
+        if n == 0:
+            raise DeadEnd
+        value = 1 if n == 1 else self._pick_index(n) + 1
+        for gap in gaps:
+            if gap > value:
+                break
+            value += 1
+        return value
 
     def _pick_index(self, n: int) -> int:
         raise NotImplementedError
@@ -118,13 +133,6 @@ def plan_from_pairs(queries, disclosed_known_count: int) -> QueryPlan:
     return QueryPlan(wrapped, disclosed_known_count)
 
 
-def _fresh_pool(size: int, *excluded) -> list[int]:
-    out = set(range(1, size + 1))
-    for ex in excluded:
-        out -= ex
-    return sorted(out)
-
-
 def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> QueryPlan:
     """One attempt at a single-user plan; raises DeadEnd on an empty pick set.
 
@@ -140,41 +148,29 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
     used: list[set] = [set() for _ in range(gamma + 1)]
     chosen: dict[int, list[tuple[int, int]]] = {}
 
-    def draw(i: int, pool) -> int:
-        beta = chooser.pick(pool)
+    def draw(i: int, fresh_class: Optional[int]) -> tuple[int, int]:
+        # fresh_class avoids the side information and the other identifiable
+        # classes take known indices; with no fresh_class every class is fresh.
+        if i == fresh_class:
+            beta = chooser.pick_fresh(sizes[i - 1], si.known_indices(i), used[i])
+        elif i <= eta and fresh_class is not None:
+            beta = chooser.pick(sorted(si.known_indices(i) - used[i]))
+        else:
+            beta = chooser.pick_fresh(sizes[i - 1], used[i])
         used[i].add(beta)
-        return beta
+        return (i, beta)
 
+    classes = range(1, gamma + 1)
     if desired_class <= eta:
         r = chooser.pick(range(1, total + 1))
-        pairs = []
-        for i in range(1, gamma + 1):
-            if i == desired_class:
-                pool = _fresh_pool(sizes[i - 1], si.known_indices(i), used[i])
-            elif i <= eta:
-                pool = sorted(si.known_indices(i) - used[i])
-            else:
-                pool = _fresh_pool(sizes[i - 1], used[i])
-            pairs.append((i, draw(i, pool)))
-        chosen[r] = pairs
+        chosen[r] = [draw(i, desired_class) for i in classes]
         for j in range(1, total + 1):
-            if j == r:
-                continue
-            chosen[j] = [(i, draw(i, _fresh_pool(sizes[i - 1], used[i]))) for i in range(1, gamma + 1)]
+            if j != r:
+                chosen[j] = [draw(i, None) for i in classes]
         secrets = PlanSecrets(demands=(desired_class,), designated_index=r)
     else:
         for j in range(1, total + 1):
-            t = (j - 1) % eta + 1
-            pairs = []
-            for i in range(1, gamma + 1):
-                if i == t:
-                    pool = _fresh_pool(sizes[i - 1], si.known_indices(i), used[i])
-                elif i <= eta:
-                    pool = sorted(si.known_indices(i) - used[i])
-                else:
-                    pool = _fresh_pool(sizes[i - 1], used[i])
-                pairs.append((i, draw(i, pool)))
-            chosen[j] = pairs
+            chosen[j] = [draw(i, (j - 1) % eta + 1) for i in classes]
         secrets = PlanSecrets(demands=(desired_class,))
 
     queries = tuple(Query(j, tuple(chosen[j])) for j in range(1, total + 1))
@@ -211,7 +207,7 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
             # Arbitrary identifiable stand-in: keep feasibility high by taking
             # the classes with the largest remaining fresh pool for this user.
             pools = {
-                c: len(_fresh_pool(sizes[c - 1], si_u.known_indices(c), used[c]))
+                c: sizes[c - 1] - len(si_u.known_indices(c) | used[c])
                 for c in range(1, eta + 1)
             }
             best = max(pools.values())
@@ -219,8 +215,7 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
                 raise DeadEnd
             v = chooser.pick(sorted(c for c, size in pools.items() if size == best))
 
-        pool = _fresh_pool(sizes[v - 1], si_u.known_indices(v), used[v])
-        beta[v] = chooser.pick(pool)
+        beta[v] = chooser.pick_fresh(sizes[v - 1], si_u.known_indices(v), used[v])
         used[v].add(beta[v])
 
         helpers = [c for c in range(1, eta + 1) if c != v]
@@ -239,7 +234,7 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
                 used[t].add(beta[t])
         for t in range(1, gamma + 1):
             if t not in beta:
-                beta[t] = chooser.pick(_fresh_pool(sizes[t - 1], used[t]))
+                beta[t] = chooser.pick_fresh(sizes[t - 1], used[t])
                 used[t].add(beta[t])
 
         queries.append(Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
@@ -252,6 +247,15 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
         helper_blocks=tuple(blocks_log),
     )
     return QueryPlan(tuple(queries), s.disclosed_known_count("multi"), secrets)
+
+
+def require_even_partition(s: Scenario) -> None:
+    """The collaborative scheme splits the helper classes evenly across users."""
+    if (s.identifiable_count - 1) % s.user_count != 0:
+        raise PartitionInfeasible(
+            f"{s.identifiable_count - 1} helper classes cannot be split evenly "
+            f"across {s.user_count} users"
+        )
 
 
 def _retrying(build, chooser: Chooser) -> QueryPlan:
@@ -301,11 +305,7 @@ def generate_multi_user_plan(
     for v in demands:
         if not 1 <= v <= s.class_count:
             raise OutOfRange(f"desired class {v} outside [1, {s.class_count}]")
-    if (s.identifiable_count - 1) % s.user_count != 0:
-        raise PartitionInfeasible(
-            f"{s.identifiable_count - 1} helper classes cannot be split evenly "
-            f"across {s.user_count} users"
-        )
+    require_even_partition(s)
     if not force:
         report = validate_scenario(s, "multi")
         if not report.ok:

@@ -207,9 +207,9 @@ class Scenario:
             if si.identifiable_count != self.identifiable_count:
                 raise MalformedScenario(f"user {u} disagrees on the identifiable-class count")
             for i in range(1, cm.class_count + 1):
-                bad = [b for b in si.oracle_indices(i) if not 1 <= b <= cm.size(i)]
+                bad = [b for b in si.oracle_indices(i) if type(b) is not int or not 1 <= b <= cm.size(i)]
                 if bad:
-                    raise MalformedScenario(f"user {u} class {i}: subclass indices {bad} out of range")
+                    raise MalformedScenario(f"user {u} class {i}: subclass indices {bad} not in [1, {cm.size(i)}]")
 
     @property
     def class_count(self) -> int:

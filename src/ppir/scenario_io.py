@@ -132,11 +132,15 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         for i, indices in enumerate(lists, start=1):
             if not isinstance(indices, list):
                 raise MalformedScenario(f"user {u} class {i}: expected an index array")
-            if len(set(indices)) != len(indices):
+            try:
+                index_set = frozenset(indices)
+            except TypeError:  # an unhashable entry; Scenario rejects every other non-integer
+                raise MalformedScenario(f"user {u} class {i}: subclass indices must be integers") from None
+            if len(index_set) != len(indices):
                 raise MalformedScenario(f"user {u} class {i}: duplicate subclass indices")
-            index_sets.append(frozenset(indices))
+            index_sets.append(index_set)
         flagged = entry.get("identified_classes")
-        if flagged is not None and list(flagged) != list(range(1, eta + 1)):
+        if flagged is not None and flagged != list(range(1, eta + 1)):
             raise MalformedScenario(
                 f"user {u}: identified_classes must equal [1..{eta}] (identifiable classes are the first eta listed)"
             )
@@ -150,7 +154,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
     explicit = None
     if "explicit_generator" in doc and doc["explicit_generator"] is not None:
         matrix = doc["explicit_generator"]
-        if not isinstance(matrix, list):
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
             raise MalformedScenario("explicit_generator must be a matrix (array of rows)")
         try:
             explicit = generator_from_explicit(matrix, field)

@@ -66,6 +66,29 @@ class TestRun:
         bad.write_text(json.dumps(doc))
         assert run_cli("run", str(bad), "--demand", "1").returncode == 2
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            pytest.param(("users", 0, "side_information", 0, 0), "3", id="string-index"),
+            pytest.param(("users", 0, "side_information", 0, 0), 1.5, id="float-index"),
+            pytest.param(("users", 0, "side_information", 0, 0), True, id="bool-index"),
+            pytest.param(("users", 0, "side_information", 0, 0), [3], id="array-index"),
+            pytest.param(("users", 0, "identified_classes"), 5, id="identified-classes-int"),
+            pytest.param(("explicit_generator", 0), 5, id="generator-row-int"),
+        ],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, path, value):
+        doc = json.loads(fixture_path("five_class.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("run", str(bad), "--demand", "3")
+        assert proc.returncode == 2, proc.stderr
+        assert "parse error" in proc.stderr
+
     def test_nonprime_field_exits_2(self, tmp_path):
         doc = json.loads(fixture_path("tiny_two_class.json").read_text())
         doc["field_order"] = 10

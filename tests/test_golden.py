@@ -1,0 +1,84 @@
+"""Committed SHA-256 digests of trace and report bytes.
+
+A speedup must not change a single output byte, so these digests pin the
+serialized sessions and one audit report.  Each fixture digest covers every
+demand choice of that fixture at one seed: the traces' canonical JSON in
+demand order, or the error class name for a forced run that fails.  Fixtures
+that fail validation (two_user_three_class) run forced, which also exercises
+plan retries and recovery failures.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from helpers import load_fixture
+from ppir import privacy_report, run_session, validate_scenario
+from ppir.errors import PpirError
+from ppir.scenario_io import dump_json, privacy_to_dict, trace_to_dict
+
+SESSION_DIGESTS = {
+    ("five_class.json", 1):
+        "fb38610a791baca94e6aeb9678504c90dd044e4414d44bee0779441f07210a29",
+    ("five_class.json", 2):
+        "98430e99e57f284b9f3b8865f09ba12b81bc70248d6eb41d108fc6195d04faca",
+    ("six_class.json", 1):
+        "433b94a05529c52fd9981c55af28e08ccf13d36865c20a5478d3a17d78195938",
+    ("six_class.json", 2):
+        "bbe9f2ed6718ca7f7b07456ad30d57b07fd515255774ee49e73fadd3e19e7cd6",
+    ("fsi_three_class.json", 1):
+        "6a001d43a7a3ee77e2c8b0a7c49b7cddf2ad830d56567323f5896e0f54858826",
+    ("fsi_three_class.json", 2):
+        "63f12fd5dea19b12613c62cf293e67e30bd41bb8a54f8054f8aeaa0a714d1756",
+    ("tiny_two_class.json", 1):
+        "eb9d7788de905cacf154aada8cf253334eda3c20bd9ee23bd2e7c9105c3d2823",
+    ("tiny_two_class.json", 2):
+        "c1f5dfde0341147ef8506c04dff3117b4f54da09377c0f1c2e813963531d99bd",
+    ("two_user_seven_class.json", 1):
+        "bd09dbbc5983c757dcae77df5febd49ec8872a4a08141c69d429f644d10e61b8",
+    ("two_user_seven_class.json", 2):
+        "296f47d936b4fe9f1082efb840c662d100f33b820ed3a3715f850f2eb3dcfb72",
+    ("two_user_three_class.json", 1):
+        "e1d60ac8a7f55d917d9cbceb9c209d523f4763ceb82433300a5cdbd3128f6015",
+    ("two_user_three_class.json", 2):
+        "9e09a4f78d691b7faaa90dad98f83d4bf336ceb0b5feb90a7af6e96c3d05e51e",
+}
+
+TINY_REPORT_DIGEST = "ed4a53ec09bd041410830e240137b142966cf1487680db095caf43b29d90c884"
+
+
+def session_digest(name: str, seed: int) -> str:
+    loaded = load_fixture(name)
+    s = loaded.scenario
+    classes = range(1, s.class_count + 1)
+    if s.user_count == 1:
+        mode, demand_space = "single", classes
+    else:
+        mode, demand_space = "multi", itertools.product(classes, repeat=s.user_count)
+    force = not validate_scenario(s, mode).ok
+    digest = hashlib.sha256()
+    for demands in demand_space:
+        try:
+            trace = run_session(
+                s, demands, seed=seed, explicit_generator=loaded.explicit_generator, force=force
+            )
+        except PpirError as exc:
+            digest.update(f"{type(exc).__name__}\n".encode())
+        else:
+            digest.update(dump_json(trace_to_dict(trace)).encode())
+    return digest.hexdigest()
+
+
+def tiny_report_digest() -> str:
+    report = privacy_report(load_fixture("tiny_two_class.json").scenario, "single", runs=50)
+    return hashlib.sha256(dump_json(privacy_to_dict(report)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(SESSION_DIGESTS))
+def test_session_bytes(name, seed):
+    assert session_digest(name, seed) == SESSION_DIGESTS[name, seed]
+
+
+def test_tiny_report_bytes():
+    assert tiny_report_digest() == TINY_REPORT_DIGEST

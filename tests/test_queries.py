@@ -24,6 +24,7 @@ from ppir import (
     random_store,
     sequential_class_map,
 )
+from ppir.analytics import _ReplayChooser
 from ppir.errors import (
     AssumptionViolated,
     ExhaustedIndices,
@@ -31,6 +32,7 @@ from ppir.errors import (
     PartitionInfeasible,
 )
 from ppir.field import PrimeField
+from ppir.queries import DeadEnd, RandomChooser
 
 
 class TestPublishedTranscripts:
@@ -239,3 +241,37 @@ def test_non_repetition_property(data):
 def test_plan_from_pairs_orders_classes():
     plan = plan_from_pairs([[(2, 1), (1, 5)]], 0)
     assert plan.queries[0].pairs == ((1, 5), (2, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pick_fresh_matches_materialised_pool(data):
+    size = data.draw(st.integers(min_value=1, max_value=10**5), label="size")
+    index = st.integers(min_value=1, max_value=size)
+    excluded = data.draw(st.lists(st.frozensets(index, max_size=40), max_size=3), label="excluded")
+    pool = sorted(set(range(1, size + 1)).difference(*excluded))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+    fast, slow = RandomChooser(random.Random(seed)), RandomChooser(random.Random(seed))
+    if pool:
+        assert fast.pick_fresh(size, *excluded) == slow.pick(pool)
+    else:
+        with pytest.raises(DeadEnd):
+            fast.pick_fresh(size, *excluded)
+    assert fast.rng.getstate() == slow.rng.getstate()
+    if pool:
+        prefix = [data.draw(st.integers(min_value=0, max_value=len(pool) - 1), label="rank")]
+        fast, slow = _ReplayChooser(prefix), _ReplayChooser(prefix)
+        assert fast.pick_fresh(size, *excluded) == slow.pick(pool)
+        assert (fast.sizes, fast.path) == (slow.sizes, slow.path)
+
+
+def test_pick_fresh_empty_and_forced_pools():
+    chooser = RandomChooser(random.Random(0))
+    state = chooser.rng.getstate()
+    with pytest.raises(DeadEnd):
+        chooser.pick_fresh(3, {1, 2}, {3})
+    assert chooser.pick_fresh(3, {1}, {3}) == 2
+    assert chooser.rng.getstate() == state
+    replay = _ReplayChooser([])
+    assert replay.pick_fresh(4, {1, 2, 4}) == 3
+    assert (replay.sizes, replay.path) == ([], [])
