@@ -16,8 +16,8 @@ from ppir import (
 
 field = PrimeField(11)
 print(f"working in {field}")
-a, b = field.element(5), field.element(9)
-print(f"  5 * 9 = {(a * b).value},  5^-1 = {a.inverse().value},  3 - 7 = {(field.element(3) - field.element(7)).value}")
+q = field.order  # symbols are plain ints in [0, q); only inversion needs the field
+print(f"  5 * 9 = {5 * 9 % q},  5^-1 = {field.inv(5)},  3 - 7 = {(3 - 7) % q}")
 
 published = [
     [1, 0, 0, 0, 0, 1, 5, 4],

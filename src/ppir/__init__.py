@@ -32,7 +32,7 @@ from .exchange import (
     run_session,
     session_generator,
 )
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .mds import (
     Generator,
     build_systematic_generator,
@@ -42,7 +42,6 @@ from .mds import (
     verify_mds,
 )
 from .queries import (
-    PlanValidity,
     Query,
     QueryPlan,
     check_plan,
@@ -70,11 +69,9 @@ __all__ = [
     "Answer",
     "ClassMap",
     "ComparisonReport",
-    "FieldElement",
     "Generator",
     "LoadedScenario",
     "MessageStore",
-    "PlanValidity",
     "PpirError",
     "PrimeField",
     "PrivacyReport",

@@ -26,14 +26,15 @@ from .errors import TooLargeToEnumerate
 from .queries import (
     Chooser,
     DeadEnd,
-    QueryPlan,
+    NonRepetitionResult,
     RandomChooser,
     _retrying,
+    audit_non_repetition,
     build_multi_plan,
     build_single_plan,
     require_even_partition,
 )
-from .scenario import Scenario
+from .scenario import Scenario, helper_budget, kmax
 
 ENUMERATION_LIMIT = 1_000_000
 
@@ -62,15 +63,11 @@ class RateParams:
 
     @property
     def max_unidentified_count(self) -> int:
-        eta = self.identifiable_count
-        return max(
-            (counts[i] for counts in self.si_counts for i in range(eta, self.class_count)),
-            default=0,
-        )
+        return kmax(self.si_counts, self.identifiable_count)
 
     @property
     def per_user_known_budget(self) -> int:
-        return ceil((self.identifiable_count - 1) / self.user_count)
+        return helper_budget(self.identifiable_count, self.user_count)
 
     def single_user(self, u: int) -> "RateParams":
         return RateParams(
@@ -184,25 +181,6 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
         if flag.status == "holds" and r_isi < r_usi:
             raise RuntimeError(f"{name} holds but the rate inequality fails: {r_isi} < {r_usi}")
     return ComparisonReport(r_isi, r_usi, rate_multi(p), rate_naive_multi(p), flags)
-
-
-@dataclass(frozen=True)
-class NonRepetitionResult:
-    ok: bool
-    witnesses: tuple = ()  # (class, subclass, first query, second query)
-
-
-def audit_non_repetition(plan: QueryPlan) -> NonRepetitionResult:
-    """Pass iff no class contributes the same subclass index twice in the plan."""
-    witnesses = []
-    by_class: dict[int, dict[int, int]] = defaultdict(dict)
-    for q in plan.queries:
-        for i, beta in q.pairs:
-            if beta in by_class[i]:
-                witnesses.append((i, beta, by_class[i][beta], q.index))
-            else:
-                by_class[i][beta] = q.index
-    return NonRepetitionResult(not witnesses, tuple(witnesses))
 
 
 class _ReplayChooser(Chooser):
@@ -333,7 +311,7 @@ def privacy_report(
     failures = 0
     witnesses = []
     for d_idx, demands in enumerate(demand_space):
-        build = _plan_builder(s, demands if mode == "multi" else demands[0], mode)
+        build = _plan_builder(s, demands, mode)
         for t in range(runs):
             chooser = RandomChooser(random.Random(base_seed + 1_000_003 * d_idx + t))
             plan = _retrying(build, chooser)
@@ -349,7 +327,7 @@ def privacy_report(
     if demand_space:
         try:
             dists = {
-                d: query_distribution(s, d if mode == "multi" else d[0], mode, limit=enum_limit)
+                d: query_distribution(s, d, mode, limit=enum_limit)
                 for d in demand_space
             }
             method, samples = "enumeration", None
@@ -357,7 +335,7 @@ def privacy_report(
             dists = {
                 d: sample_query_distribution(
                     s,
-                    d if mode == "multi" else d[0],
+                    d,
                     mode,
                     samples=mc_samples,
                     seed=base_seed + 7_919 * i,

@@ -8,9 +8,9 @@ Subcommands:
     ppir rates    scenario.json [--out report.json]
     ppir selftest
 
-Exit codes: 0 success, 2 parse error, 3 validation refused (or the plan search
-exhausted its retries), 4 recovery failure.  Identical inputs produce
-byte-identical output files.
+Exit codes: 0 success, 2 parse error or a bad --demand / --runs value, 3
+validation refused (or the plan search exhausted its retries), 4 recovery
+failure.  Identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     AssumptionViolated,
     ExhaustedIndices,
     MalformedScenario,
+    OutOfRange,
     PartitionInfeasible,
     RecoveryFailed,
 )
@@ -80,13 +81,6 @@ def cmd_run(args) -> int:
         demands = args.demand[0]
     else:
         demands = tuple(args.demand)
-    report = validate_scenario(scenario, mode)
-    if not report.ok and not args.force:
-        print(
-            "validation refused: " + ", ".join(r.name for r in report.failed()),
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
     trace = run_session(
         scenario,
         demands,
@@ -99,6 +93,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.runs < 1:
+        print("error: --runs must be at least 1", file=sys.stderr)
+        return EXIT_PARSE
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
     mode = _infer_mode(args, scenario.user_count)
@@ -182,6 +179,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except MalformedScenario as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OutOfRange as exc:  # a --demand outside [1, class count], or the wrong number of them
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (AssumptionViolated, PartitionInfeasible, ExhaustedIndices) as exc:
         print(f"validation refused: {exc}", file=sys.stderr)

@@ -11,10 +11,6 @@ class NonPrimeOrder(PpirError):
     """Requested field order is composite, below 2, or above the supported cap."""
 
 
-class FieldMismatch(PpirError):
-    """Arithmetic attempted between elements of different fields."""
-
-
 class ZeroInverse(PpirError):
     """Multiplicative inverse of zero requested."""
 

@@ -180,11 +180,6 @@ def run_session(
             for beta in si.oracle_indices(i)
         }
         desired = demand_tuple[u - 1] if mode == "multi" else demand_tuple[0]
-        held = {
-            s.class_map.pair_to_global(i, beta)
-            for i in range(1, s.class_count + 1)
-            for beta in si.oracle_indices(i)
-        }
         decoded_queries = []
         decoded = []
         new = []
@@ -198,7 +193,7 @@ def run_session(
             for (i, beta), symbols in sorted(messages.items()):
                 f = s.class_map.pair_to_global(i, beta)
                 decoded.append((i, beta, f))
-                if i == desired and f not in held:
+                if i == desired and f not in contents:
                     if not new:
                         witness = symbols
                     new.append((i, beta, f))

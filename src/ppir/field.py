@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NonPrimeOrder, ZeroInverse
+from .errors import NonPrimeOrder, ZeroInverse
 
 MAX_ORDER = 2**31 - 1
 
@@ -42,22 +42,6 @@ class PrimeField:
         if not _is_prime(self.order):
             raise NonPrimeOrder(f"{self.order} is not a prime >= 2")
 
-    def element(self, value: int) -> "FieldElement":
-        """Wrap an integer as a canonical field element (reduced mod order)."""
-        return FieldElement(value % self.order, self)
-
-    # Integer-level operations: the fast path used by matrix code.  Inputs are
-    # assumed canonical; outputs always are.
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.order
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.order
-
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroInverse("zero has no multiplicative inverse")
@@ -65,45 +49,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Canonical representative of a residue in its prime field."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.order:
-            raise ValueError(f"{self.value} is not canonical mod {self.field.order}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.field.order, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.order})"

@@ -105,7 +105,7 @@ def generator_from_explicit(rows, field: PrimeField) -> Generator:
     q = field.order
     for r in rows:
         for v in r:
-            if not isinstance(v, int) or not 0 <= v < q:
+            if type(v) is not int or not 0 <= v < q:
                 raise BadDimensions(f"entry {v!r} outside [0, {q})")
     for i in range(k):
         for j in range(k):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ from .errors import (
     OutOfRange,
     PartitionInfeasible,
 )
-from .scenario import RuleResult, Scenario, validate_scenario
+from .scenario import RuleResult, Scenario, ValidationReport, validate_scenario
 
 MAX_PLAN_ATTEMPTS = 1000
 
@@ -316,15 +317,22 @@ def generate_multi_user_plan(
 
 
 @dataclass(frozen=True)
-class PlanValidity:
-    rules: tuple[RuleResult, ...]
+class NonRepetitionResult:
+    ok: bool
+    witnesses: tuple = ()  # (class, subclass, first query, second query)
 
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.rules)
 
-    def failed(self) -> tuple[RuleResult, ...]:
-        return tuple(r for r in self.rules if not r.passed)
+def audit_non_repetition(plan: QueryPlan) -> NonRepetitionResult:
+    """Pass iff no class contributes the same subclass index twice in the plan."""
+    witnesses = []
+    by_class: dict[int, dict[int, int]] = defaultdict(dict)
+    for q in plan.queries:
+        for i, beta in q.pairs:
+            if beta in by_class[i]:
+                witnesses.append((i, beta, by_class[i][beta], q.index))
+            else:
+                by_class[i][beta] = q.index
+    return NonRepetitionResult(not witnesses, tuple(witnesses))
 
 
 def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
@@ -361,41 +369,28 @@ def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
             tuple(bad_shape),
         )
     )
-    dupes = []
-    for i in range(1, gamma + 1):
-        seen: dict[int, int] = {}
-        for q in plan.queries:
-            b = q.subclass_of(i)
-            if b in seen:
-                dupes.append((i, b, seen[b], q.index))
-            else:
-                seen[b] = q.index
+    repeats = audit_non_repetition(plan)
     rules.append(
-        RuleResult("non_repetition", not dupes, "no subclass index repeats within a class", tuple(dupes))
+        RuleResult("non_repetition", repeats.ok, "no subclass index repeats within a class", repeats.witnesses)
     )
     return rules
 
 
-def check_plan(s: Scenario, demands, plan: QueryPlan, mode: str) -> PlanValidity:
+def check_plan(s: Scenario, demands, plan: QueryPlan, mode: str) -> ValidationReport:
     """Structural validity of a plan against the scheme's selection rules.
 
     Membership is checked structurally (does some admissible realisation of
     the random choices produce these pairs), so published transcripts can be
     verified without knowing the private draws that made them.
     """
-    if mode == "single":
-        demands = (demands,) if isinstance(demands, int) else tuple(demands)
-        rules = _shape_rules(s, plan, mode)
-        if all(r.passed for r in rules):
+    demands = (demands,) if isinstance(demands, int) else tuple(demands)
+    rules = _shape_rules(s, plan, mode)  # raises ValueError on an unknown mode
+    if all(r.passed for r in rules):
+        if mode == "single":
             rules.extend(_single_rules(s, demands[0], plan))
-        return PlanValidity(tuple(rules))
-    if mode == "multi":
-        demands = tuple(demands)
-        rules = _shape_rules(s, plan, mode)
-        if all(r.passed for r in rules):
+        else:
             rules.extend(_multi_rules(s, demands, plan))
-        return PlanValidity(tuple(rules))
-    raise ValueError(f"unknown mode {mode!r}")
+    return ValidationReport(mode, tuple(rules))
 
 
 def _single_rules(s: Scenario, v: int, plan: QueryPlan) -> list[RuleResult]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 
 from .errors import MalformedScenario, OutOfRange, UnidentifiableAccess
@@ -41,7 +42,7 @@ class MessageStore:
             if len(row) != length:
                 raise MalformedScenario(f"message {f} has {len(row)} symbols, expected {length}")
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < q:
+                if type(v) is not int or not 0 <= v < q:
                     raise MalformedScenario(f"message {f} symbol {v!r} outside [0, {q})")
 
     @property
@@ -179,6 +180,16 @@ class SideInformation:
             raise OutOfRange(f"class {i} outside [1, {len(self.indices)}]")
 
 
+def kmax(si_counts, identifiable_count: int) -> int:
+    """Largest count over the unidentifiable classes in per-user, per-class ``si_counts`` (0 if none)."""
+    return max((c for counts in si_counts for c in counts[identifiable_count:]), default=0)
+
+
+def helper_budget(identifiable_count: int, user_count: int) -> int:
+    """Known pairs each user contributes per query in the collaborative scheme."""
+    return ceil((identifiable_count - 1) / user_count)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete problem instance: store, partition, per-user side information."""
@@ -219,21 +230,21 @@ class Scenario:
     def user_count(self) -> int:
         return len(self.users)
 
+    @cached_property
+    def _kmax(self) -> int:
+        # Plan builders ask for the query count on every attempt; the scenario is immutable.
+        return kmax((si.counts for si in self.users), self.identifiable_count)
+
     def max_unidentified_count(self) -> int:
         """Largest side-information count over unidentifiable classes and all users (0 if none)."""
-        eta = self.identifiable_count
-        best = 0
-        for si in self.users:
-            for i in range(eta + 1, self.class_count + 1):
-                best = max(best, si.count(i))
-        return best
+        return self._kmax
 
     def query_count(self) -> int:
-        return self.max_unidentified_count() + 1
+        return self._kmax + 1
 
     def per_user_known_budget(self) -> int:
         """Known pairs contributed per user per query in the collaborative scheme."""
-        return ceil((self.identifiable_count - 1) / self.user_count)
+        return helper_budget(self.identifiable_count, self.user_count)
 
     def disclosed_known_count(self, mode: str) -> int:
         """The single integer sent to the server: it fixes the code dimension only."""
@@ -293,9 +304,9 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
             )
         )
         users = s.users[:1]
-        share = ceil((kun + 1) / eta)
         headroom_name = "class_headroom"
-        headroom_need = share
+        headroom_need = ceil((kun + 1) / eta)
+        headroom_classes = gamma
     else:
         rules.append(RuleResult("user_count", s.user_count >= 1, "need at least 1 user"))
         users = s.users
@@ -308,6 +319,7 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
         )
         headroom_name = "identifiable_headroom"
         headroom_need = ceil((kun + 1) / s.user_count)
+        headroom_classes = eta
 
     # Collaborative helper blocks may hit the same user-class pair in every
     # query, so the multi-user depth bound is strict.  The single-user scheme
@@ -338,20 +350,12 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
         )
     )
 
-    if mode == "single":
-        bad = [
-            (u, i)
-            for u, si in enumerate(users, start=1)
-            for i in range(1, gamma + 1)
-            if sizes[i - 1] - si.count(i) < headroom_need
-        ]
-    else:
-        bad = [
-            (u, i)
-            for u, si in enumerate(users, start=1)
-            for i in range(1, eta + 1)
-            if sizes[i - 1] - si.count(i) < headroom_need
-        ]
+    bad = [
+        (u, i)
+        for u, si in enumerate(users, start=1)
+        for i in range(1, headroom_classes + 1)
+        if sizes[i - 1] - si.count(i) < headroom_need
+    ]
     rules.append(
         RuleResult(
             headroom_name,

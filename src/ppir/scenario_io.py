@@ -62,7 +62,7 @@ def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise MalformedScenario(f"missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if type(value) is not kind:  # exact type: JSON true/false must not pass as an integer
         raise MalformedScenario(f"key {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -74,7 +74,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
     length = _require(doc, "symbols_per_message", int)
     eta = _require(doc, "eta", int)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise MalformedScenario("seed must be a non-negative integer")
     classes = _require(doc, "classes", list)
     users = _require(doc, "users", list)
@@ -108,7 +108,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
                         f"message {f}: expected {length} symbols, got {len(descriptor)}"
                     )
                 for v in descriptor:
-                    if not isinstance(v, int) or not 0 <= v < order:
+                    if type(v) is not int or not 0 <= v < order:
                         raise MalformedScenario(f"message {f}: symbol {v!r} outside [0, {order})")
                 rows.append(tuple(descriptor))
             else:

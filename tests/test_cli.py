@@ -67,25 +67,31 @@ class TestRun:
         assert run_cli("run", str(bad), "--demand", "1").returncode == 2
 
     @pytest.mark.parametrize(
-        "path,value",
+        "name,path,value",
         [
-            pytest.param(("users", 0, "side_information", 0, 0), "3", id="string-index"),
-            pytest.param(("users", 0, "side_information", 0, 0), 1.5, id="float-index"),
-            pytest.param(("users", 0, "side_information", 0, 0), True, id="bool-index"),
-            pytest.param(("users", 0, "side_information", 0, 0), [3], id="array-index"),
-            pytest.param(("users", 0, "identified_classes"), 5, id="identified-classes-int"),
-            pytest.param(("explicit_generator", 0), 5, id="generator-row-int"),
+            pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), "3", id="string-index"),
+            pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), 1.5, id="float-index"),
+            pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), True, id="bool-index"),
+            pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), [3], id="array-index"),
+            pytest.param("five_class.json", ("users", 0, "identified_classes"), 5, id="identified-classes-int"),
+            pytest.param("five_class.json", ("explicit_generator", 0), 5, id="generator-row-int"),
+            # JSON true is a Python int; each of these would otherwise load as 1.
+            pytest.param("tiny_two_class.json", ("eta",), True, id="bool-eta"),
+            pytest.param("tiny_two_class.json", ("seed",), True, id="bool-seed"),
+            pytest.param("tiny_two_class.json", ("symbols_per_message",), True, id="bool-symbols-per-message"),
+            pytest.param("five_class.json", ("explicit_generator", 0, 0), True, id="bool-generator-entry"),
+            pytest.param("five_class.json", ("classes", 0, 2, 1), True, id="bool-symbol"),
         ],
     )
-    def test_malformed_field_exits_2(self, tmp_path, path, value):
-        doc = json.loads(fixture_path("five_class.json").read_text())
+    def test_malformed_field_exits_2(self, tmp_path, name, path, value):
+        doc = json.loads(fixture_path(name).read_text())
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        proc = run_cli("run", str(bad), "--demand", "3")
+        proc = run_cli("run", str(bad), "--demand", "1")
         assert proc.returncode == 2, proc.stderr
         assert "parse error" in proc.stderr
 
@@ -114,6 +120,20 @@ class TestRun:
             "--demand", "1", "--demand", "1", "--seed", "0", "--force",
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "name,demand",
+        [
+            pytest.param("five_class.json", "9", id="above-class-count"),
+            pytest.param("five_class.json", "0", id="zero"),
+            pytest.param("two_user_seven_class.json", "2", id="one-demand-for-two-users"),
+        ],
+    )
+    def test_bad_demand_exits_2(self, name, demand):
+        proc = run_cli("run", fixture(name), "--demand", demand)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_demand_required(self):
         assert run_cli("run", fixture("five_class.json")).returncode == 2
@@ -168,6 +188,13 @@ class TestAudit:
         assert privacy["non_repetition_checks"] == 100
         assert privacy["distribution"]["method"] == "enumeration"
         assert privacy["distribution"]["pairs"][0]["tv"] == "0"
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_exits_2(self, tmp_path, runs):
+        out = tmp_path / "report.json"
+        proc = run_cli("audit", fixture("tiny_two_class.json"), "--runs", runs, "--out", str(out))
+        assert proc.returncode == 2
+        assert not out.exists()
 
     def test_default_runs_documented_as_1000(self):
         proc = run_cli("audit", "--help")

@@ -62,6 +62,11 @@ class TestPublishedTranscripts:
         assert not result.ok
         assert "non_repetition" in {r.name for r in result.failed()}
 
+    def test_query_missing_a_class_fails_shape(self, tiny):
+        result = check_plan(tiny.scenario, 1, plan_from_pairs([[(1, 1)]], 0), "single")
+        assert not result.ok
+        assert "query_shape" in {r.name for r in result.failed()}
+
     def test_wrong_demand_fails_designated_rule(self, five_class):
         # The demand-3 transcript has no admissible designated query for demand 1.
         plan = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2)
