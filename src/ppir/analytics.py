@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .errors import TooLargeToEnumerate
+from .errors import ConditionsInconsistent, TooLargeToEnumerate
 from .queries import (
     Chooser,
     DeadEnd,
@@ -131,7 +131,9 @@ SINGLE_IDENTIFIABLE_CLASS = "single_identifiable_class"
 
 def comparison_conditions(p: RateParams) -> ComparisonReport:
     """Evaluate the advantage conditions exactly; meaningful for one-user params
-    that satisfy the scheme's own assumptions."""
+    that satisfy the scheme's own assumptions.  Raises ConditionsInconsistent
+    when a condition holds but the rates contradict it, which only params
+    outside those assumptions can do."""
     eta = p.identifiable_count
     gamma = p.class_count
     counts = p.si_counts[0]
@@ -179,7 +181,7 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
     r_isi, r_usi = rate_isi(p), rate_usi(p)
     for name, flag in flags.items():
         if flag.status == "holds" and r_isi < r_usi:
-            raise RuntimeError(f"{name} holds but the rate inequality fails: {r_isi} < {r_usi}")
+            raise ConditionsInconsistent(f"{name} holds but the rate inequality fails: {r_isi} < {r_usi}")
     return ComparisonReport(r_isi, r_usi, rate_multi(p), rate_naive_multi(p), flags)
 
 

@@ -9,8 +9,11 @@ Subcommands:
     ppir selftest
 
 Exit codes: 0 success, 2 parse error or a bad --demand / --runs value, 3
-validation refused (or the plan search exhausted its retries), 4 recovery
-failure.  Identical inputs produce byte-identical output files.
+validation refused (or the plan search exhausted its retries, or ``rates``
+met parameters that contradict an advantage condition), 4 recovery failure.
+Identical inputs produce byte-identical output files.  ``run`` warns on
+stderr when the file's explicit generator does not fit the run's [n, k] and
+the default code is used instead.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .analytics import (
 )
 from .errors import (
     AssumptionViolated,
+    ConditionsInconsistent,
     ExhaustedIndices,
     MalformedScenario,
     OutOfRange,
@@ -88,6 +92,13 @@ def cmd_run(args) -> int:
         explicit_generator=loaded.explicit_generator,
         force=args.force,
     )
+    explicit = loaded.explicit_generator
+    if explicit is not None and (explicit.n, explicit.k) != (trace.code_length, trace.code_dimension):
+        print(
+            f"warning: explicit_generator is [{explicit.n},{explicit.k}] but this run needs "
+            f"[{trace.code_length},{trace.code_dimension}]; the default code was used",
+            file=sys.stderr,
+        )
     _emit(dump_json(trace_to_dict(trace)), args.out)
     return EXIT_OK
 
@@ -183,7 +194,7 @@ def main(argv=None) -> int:
     except OutOfRange as exc:  # a --demand outside [1, class count], or the wrong number of them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (AssumptionViolated, PartitionInfeasible, ExhaustedIndices) as exc:
+    except (AssumptionViolated, PartitionInfeasible, ExhaustedIndices, ConditionsInconsistent) as exc:
         print(f"validation refused: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RecoveryFailed as exc:

@@ -85,10 +85,14 @@ class InsufficientKnowns(PpirError):
 
 
 class RecoveryFailed(PpirError):
-    """A user finished the session without a new message from its desired class."""
+    """A user decoded a message that differs from the store, or gained no new desired-class message."""
 
 
 # --- analytics ---
+
+class ConditionsInconsistent(PpirError):
+    """An advantage condition holds but the rates contradict it: the parameters are outside the scheme's assumptions."""
+
 
 class TooLargeToEnumerate(PpirError):
     """Choice tree exceeds the exhaustive-enumeration budget."""

@@ -1,17 +1,20 @@
 """The protocol round: blind server encoding, client erasure decoding, session bookkeeping.
 
 For every query the server lines up the queried messages in ascending class
-order, encodes each symbol position with the session's systematic MDS code,
-and returns only the parity symbols.  Its inputs are limited by signature to
-the store, the bare query pairs, the disclosed code-dimension hint, and the
-generator: neither demands nor side information can flow in.
+order as a k x L block (one row per message, one column per symbol position)
+and returns only its parity block: the (n - k) x L product with the parity
+columns of the session's systematic MDS code.  Its inputs are limited by
+signature to the store, the bare query pairs, the disclosed code-dimension
+hint, and the generator: neither demands nor side information can flow in.
 
-A client combines the parities with the side-information messages it can
+A client combines the parity rows with the side-information messages it can
 actually place (identifiable classes only: holding a message from an
 unidentifiable class does not reveal which queried pair it answers) and
-erasure-decodes the full message vector whenever enough coordinates are known.
-Queries that fall short are skipped, which is the expected outcome for
-non-designated queries when the desired class is identifiable.
+erasure-decodes the whole message block, with one column inverse per query,
+whenever enough coordinates are known.  Queries that fall short are skipped,
+which is the expected outcome for non-designated queries when the desired
+class is identifiable.  Every decoded message is compared with the store, so
+a wrong answer ends the session with RecoveryFailed instead of a wrong trace.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
-from .mds import Generator, build_systematic_generator, decode_from_positions, encode
+from .mds import Generator, build_systematic_generator, decode_block, parity_block
 from .queries import QueryPlan, Query, generate_multi_user_plan, generate_single_user_plan
 from .scenario import ClassMap, MessageStore, Scenario, SideInformation
 
@@ -76,16 +79,7 @@ def answer_query(
     if len(query.pairs) != gamma:
         raise DimensionMismatch(f"query has {len(query.pairs)} pairs, expected {gamma}")
     rows = [store.symbols(class_map.pair_to_global(i, beta)) for i, beta in query.pairs]
-    length = store.symbols_per_message
-    parity_cols = []
-    for ell in range(length):
-        codeword = encode(generator, [r[ell] for r in rows])
-        parity_cols.append(codeword[gamma:])
-    parities = tuple(
-        tuple(parity_cols[ell][p] for ell in range(length))
-        for p in range(generator.n - gamma)
-    )
-    return Answer(query.index, parities)
+    return Answer(query.index, parity_block(generator, rows))
 
 
 def decode_answer(
@@ -119,18 +113,9 @@ def decode_answer(
         )
     positions = known_positions[:gamma]
     positions += list(range(gamma + 1, gamma + 1 + (gamma - len(positions))))
-    length = len(answer.parities[0]) if answer.parities else len(next(iter(si_contents.values())))
-    out_symbols = []
-    for ell in range(length):
-        values = [
-            known_globals[p][ell] if p <= gamma else answer.parities[p - gamma - 1][ell]
-            for p in positions
-        ]
-        out_symbols.append(decode_from_positions(generator, positions, values))
-    return {
-        (i, beta): tuple(out_symbols[ell][idx] for ell in range(length))
-        for idx, (i, beta) in enumerate(query.pairs)
-    }
+    rows = [known_globals[p] if p <= gamma else answer.parities[p - gamma - 1] for p in positions]
+    messages = decode_block(generator, positions, rows)
+    return {pair: messages[idx] for idx, pair in enumerate(query.pairs)}
 
 
 def session_generator(s: Scenario, mode: str, explicit: Optional[Generator] = None) -> Generator:
@@ -155,7 +140,8 @@ def run_session(
     ``demands`` is a single class index (one user) or one index per user
     (collaborative).  Every user receives every answer over the shared link
     and decodes what it can; sessions are stateless, so decoded messages are
-    not folded back into side information.
+    not folded back into side information.  Raises RecoveryFailed when a
+    decoded message differs from the store or a user gains no new message.
     """
     if isinstance(demands, int):
         mode = "single"
@@ -192,6 +178,10 @@ def run_session(
             decoded_queries.append(q.index)
             for (i, beta), symbols in sorted(messages.items()):
                 f = s.class_map.pair_to_global(i, beta)
+                if symbols != s.store.symbols(f):
+                    raise RecoveryFailed(
+                        f"user {u} decoded message {f} from query {q.index}, and it differs from the store"
+                    )
                 decoded.append((i, beta, f))
                 if i == desired and f not in contents:
                     if not new:

@@ -7,6 +7,12 @@ This is MDS for every n <= q.  Erasure decoding recovers the message from any
 k codeword positions by inverting the corresponding column submatrix; no error
 correction is attempted.
 
+The codec works on blocks of L symbol positions at once.  parity_block
+multiplies a k x L message block by the k x (n - k) parity columns only, and
+decode_block inverts the known columns once (cached) and applies that inverse
+to the k x L block of known rows.  encode and decode_from_positions are their
+L = 1 cases.
+
 Codeword positions, like every index in this package, are 1-based.
 """
 
@@ -147,16 +153,9 @@ def _invertible(gen: Generator, cols) -> bool:
 
 def encode(gen: Generator, message) -> tuple[int, ...]:
     """Codeword message x G; the first k symbols equal the message."""
-    if len(message) != gen.k:
-        raise LengthMismatch(f"message length {len(message)} != k={gen.k}")
+    parity = parity_block(gen, [(m,) for m in message])
     q = gen.field.order
-    out = []
-    for col in range(gen.n):
-        acc = 0
-        for i, m in enumerate(message):
-            acc += m * gen.rows[i][col]
-        out.append(acc % q)
-    return tuple(out)
+    return tuple(m % q for m in message) + tuple(row[0] for row in parity)
 
 
 def decode_from_positions(gen: Generator, positions, values) -> tuple[int, ...]:
@@ -165,21 +164,62 @@ def decode_from_positions(gen: Generator, positions, values) -> tuple[int, ...]:
     positions are 1-based codeword indices; values[i] is the symbol observed at
     positions[i].  Any k distinct positions of an MDS generator suffice.
     """
+    return tuple(row[0] for row in decode_block(gen, positions, [(v,) for v in values]))
+
+
+def parity_block(gen: Generator, rows) -> tuple[tuple[int, ...], ...]:
+    """Parity rows of the k x L message block: (n - k) rows of L symbols.
+
+    rows[i] holds the L symbols of the i-th message; parity row p is
+    sum_i G[i][k + p] * rows[i].  The systematic half of the codeword is the
+    message itself and is not computed.
+    """
+    k = gen.k
+    if len(rows) != k:
+        raise LengthMismatch(f"message length {len(rows)} != k={k}")
+    parity_columns = zip(*(row[k:] for row in gen.rows))
+    return _combine(parity_columns, rows, gen.field.order)
+
+
+def decode_block(gen: Generator, positions, rows) -> tuple[tuple[int, ...], ...]:
+    """Recover the k x L message block from k known codeword rows.
+
+    positions are 1-based codeword indices; rows[i] holds the L symbols observed
+    at positions[i].  The column inverse is taken once and applied to all L
+    symbol positions.
+    """
+    k = gen.k
     pos = list(positions)
-    if len(pos) != gen.k or len(set(pos)) != gen.k:
-        raise LengthMismatch(f"need exactly k={gen.k} distinct positions, got {pos}")
-    if len(values) != gen.k:
-        raise LengthMismatch(f"need k={gen.k} values, got {len(values)}")
+    if len(pos) != k or len(set(pos)) != k:
+        raise LengthMismatch(f"need exactly k={k} distinct positions, got {pos}")
+    if len(rows) != k:
+        raise LengthMismatch(f"need k={k} values, got {len(rows)}")
     for p in pos:
         if not 1 <= p <= gen.n:
             raise LengthMismatch(f"position {p} outside [1, {gen.n}]")
-    pairs = sorted(zip(pos, values))
-    cols = tuple(p for p, _ in pairs)
-    vals = [v for _, v in pairs]
-    inv = _column_inverse(gen, cols)
-    q = gen.field.order
-    # message = vals x inv(G[:, cols])
-    return tuple(sum(vals[r] * inv[r][c] for r in range(gen.k)) % q for c in range(gen.k))
+    order = sorted(range(k), key=pos.__getitem__)
+    inv = _column_inverse(gen, tuple(pos[j] for j in order))
+    # message = known x inv(G[:, cols]): message row c mixes the known rows by inv's column c
+    return _combine(zip(*inv), [rows[j] for j in order], gen.field.order)
+
+
+def _combine(coefficients, rows, q: int) -> tuple[tuple[int, ...], ...]:
+    """One output row per coefficient vector c: sum_i c[i] * rows[i] mod q.
+
+    Each output accumulates across all symbol positions at once and reduces
+    once at the end; zero coefficients are skipped.
+    """
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise LengthMismatch(f"rows of unequal length {sorted({len(row) for row in rows})}")
+    out = []
+    for coeffs in coefficients:
+        acc = None
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc = [c * m for m in row] if acc is None else [a + c * m for a, m in zip(acc, row)]
+        out.append((0,) * width if acc is None else tuple([a % q for a in acc]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)

@@ -140,7 +140,14 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
                 raise MalformedScenario(f"user {u} class {i}: duplicate subclass indices")
             index_sets.append(index_set)
         flagged = entry.get("identified_classes")
-        if flagged is not None and flagged != list(range(1, eta + 1)):
+        # Compare lengths first: eta is not range-checked yet and may be huge.
+        # Exact types, since [true] == [1].
+        if flagged is not None and (
+            not isinstance(flagged, list)
+            or len(flagged) != eta
+            or any(type(v) is not int for v in flagged)
+            or flagged != list(range(1, eta + 1))
+        ):
             raise MalformedScenario(
                 f"user {u}: identified_classes must equal [1..{eta}] (identifiable classes are the first eta listed)"
             )

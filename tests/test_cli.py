@@ -81,6 +81,7 @@ class TestRun:
             pytest.param("tiny_two_class.json", ("symbols_per_message",), True, id="bool-symbols-per-message"),
             pytest.param("five_class.json", ("explicit_generator", 0, 0), True, id="bool-generator-entry"),
             pytest.param("five_class.json", ("classes", 0, 2, 1), True, id="bool-symbol"),
+            pytest.param("five_class.json", ("users", 0, "identified_classes", 0), True, id="bool-identified-class"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, name, path, value):
@@ -134,6 +135,36 @@ class TestRun:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_misfit_explicit_generator_warns(self, tmp_path):
+        # With eta = 2 a single-user run needs n = 2*5 - 1 = 9, so the file's
+        # [8,5] generator cannot be used; the run says so and otherwise behaves
+        # exactly as if the file had no generator.
+        doc = json.loads(fixture_path("five_class.json").read_text())
+        doc["eta"] = 2
+        doc["users"][0]["identified_classes"] = [1, 2]
+        misfit = tmp_path / "misfit.json"
+        misfit.write_text(json.dumps(doc))
+        del doc["explicit_generator"]
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(doc))
+        traces = []
+        for path in (misfit, plain):
+            out = tmp_path / f"{path.stem}.trace.json"
+            proc = run_cli("run", str(path), "--demand", "1", "--force", "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            traces.append((proc.stderr, out.read_bytes()))
+        (warned, misfit_trace), (silent, plain_trace) = traces
+        assert misfit_trace == plain_trace
+        assert silent == ""
+        lines = warned.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+        assert "[8,5]" in lines[0] and "[9,5]" in lines[0]
+
+    def test_fitting_explicit_generator_is_silent(self):
+        proc = run_cli("run", fixture("five_class.json"), "--demand", "1")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_demand_required(self):
         assert run_cli("run", fixture("five_class.json")).returncode == 2

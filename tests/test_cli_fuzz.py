@@ -1,0 +1,102 @@
+"""Mutated scenario documents never escape the CLI's exit-code contract.
+
+Each example takes a bundled fixture, applies a few random mutations (drop a
+key or an array entry, or replace a value with one of another JSON type, an
+out-of-range or huge integer, a boolean or a nested array) and runs
+``ppir run`` (plain and ``--force``) and ``ppir rates`` on it in-process.  Every run must end with an
+exit code in {0, 2, 3, 4}; an uncaught exception fails the example.  ``audit``
+is left out: its enumeration takes minutes on five_class.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from ppir import cli
+from ppir.fixtures import fixture_path
+
+FIXTURES = ("tiny_two_class.json", "five_class.json")
+DOCUMENTS = {name: json.loads(fixture_path(name).read_text()) for name in FIXTURES}
+
+# Store building costs time linear in symbols_per_message; a larger length
+# would only make a load slow, never change its exit code.
+MAX_SYMBOLS_PER_MESSAGE = 1000
+
+integers = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([-(2**63), 2**31 - 1, 2**31, 2**64, 10**12]),
+)
+scalars = st.one_of(
+    integers,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["random", "", "3", 1.5, -0.0, 1e300]),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["a", "eta"]), inner, max_size=2)),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, prefix + (index,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(DOCUMENTS[draw(st.sampled_from(FIXTURES))]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p in _paths(doc) if p]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+            continue
+        value = draw(values)
+        if path == ("symbols_per_message",) and type(value) is int:
+            value = min(value, MAX_SYMBOLS_PER_MESSAGE)
+        parent[path[-1]] = value
+    return doc
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _tiny(**changes):
+    doc = json.loads(json.dumps(DOCUMENTS["tiny_two_class.json"]))
+    doc.update(changes)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_documents(), demand=st.integers(0, 6))
+# Escapes found by this test: an identified_classes check that built
+# [1..eta] for any eta (OverflowError), and a rates self-check that raised a
+# bare RuntimeError on a class the user holds completely.
+@example(doc=_tiny(eta=2**64, users=[{"side_information": [[1], []], "identified_classes": [1]}]), demand=1)
+@example(doc=_tiny(classes=[["random"], ["random"]]), demand=1)
+def test_mutated_documents_keep_exit_contract(doc, demand):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        run = ["run", str(path), "--demand", str(demand)]
+        for argv in (run, run + ["--force"], ["rates", str(path)]):
+            code, err = _main(argv)
+            assert code in {0, 2, 3, 4}, (argv[0], code, err)
+            assert "Traceback" not in err

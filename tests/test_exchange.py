@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import ppir.exchange as exchange
 from helpers import FIVE_CLASS_DEMAND3_QUERIES, published_plan
 from ppir import (
+    Answer,
     MessageStore,
     Scenario,
     answer_query,
@@ -190,6 +192,22 @@ class TestRunSession:
         # second user comes up empty on unlucky draws.
         with pytest.raises(RecoveryFailed):
             run_session(two_user_small.scenario, (1, 1), seed=1, force=True)
+
+    def test_wrong_parity_fails_recovery(self, five_class, monkeypatch):
+        # A decoded message is checked against the store on every run: one
+        # flipped parity symbol must end the session, not yield a wrong trace.
+        honest = exchange.answer_query
+        q = five_class.scenario.store.field.order
+
+        def corrupt(*args):
+            answer = honest(*args)
+            first = answer.parities[0]
+            flipped = ((first[0] + 1) % q,) + first[1:]
+            return Answer(answer.query_index, (flipped,) + answer.parities[1:])
+
+        monkeypatch.setattr(exchange, "answer_query", corrupt)
+        with pytest.raises(RecoveryFailed, match="differs from the store"):
+            run_session(five_class.scenario, 3, seed=5, explicit_generator=five_class.explicit_generator)
 
     def test_rate_identity_measured_vs_closed_form(self, five_class, six_class, two_user):
         for loaded, demands, mode in (

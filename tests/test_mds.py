@@ -2,20 +2,24 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppir.errors import (
     BadDimensions,
     FieldTooSmall,
     LengthMismatch,
+    NonPrimeOrder,
     NotMDS,
     NotSystematic,
 )
-from ppir.field import PrimeField
+from ppir.field import MAX_ORDER, PrimeField
 from ppir.mds import (
     build_systematic_generator,
+    decode_block,
     decode_from_positions,
     encode,
     generator_from_explicit,
+    parity_block,
     verify_mds,
 )
 from ppir.selftest import (
@@ -143,3 +147,88 @@ def test_round_trip_every_position_subset(n, k, q):
             cw = encode(gen, m)
             values = tuple(cw[p - 1] for p in positions)
             assert decode_from_positions(gen, positions, values) == m
+
+
+def _prime_at_most(x):
+    while True:
+        try:
+            return PrimeField(x)
+        except NonPrimeOrder:
+            x -= 1
+
+
+def _cauchy_generator(n, k, field, rng):
+    """Random systematic MDS generator [I | C], C a Cauchy matrix on distinct random points."""
+    q = field.order
+    points = rng.sample(range(q), n)
+    xs, ys = points[:k], points[k:]
+    rows = [
+        [1 if j == i else 0 for j in range(k)] + [field.inv(x - y) for y in ys]
+        for i, x in enumerate(xs)
+    ]
+    return generator_from_explicit(rows, field)
+
+
+@st.composite
+def block_cases(draw):
+    q_cap = draw(st.sampled_from([2, 3, 13, 257, 65_537, MAX_ORDER]))
+    field = _prime_at_most(draw(st.integers(2, q_cap)))
+    n = draw(st.integers(2, min(field.order, 9)))
+    k = draw(st.integers(1, n - 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        gen = build_systematic_generator(n, k, field)
+    else:
+        gen = _cauchy_generator(n, k, field, rng)
+    length = draw(st.integers(1, 16))
+    message = [tuple(rng.randrange(field.order) for _ in range(length)) for _ in range(k)]
+    positions = rng.sample(range(1, n + 1), k)
+    return gen, message, positions, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_cases())
+def test_block_codec_matches_symbolwise_codec(case):
+    gen, message, positions, rng = case
+    k = gen.k
+    columns = list(zip(*message))
+    codewords = [encode(gen, col) for col in columns]
+    parity = parity_block(gen, message)
+    assert parity == tuple(zip(*(cw[k:] for cw in codewords)))
+
+    codeword_rows = list(message) + list(parity)
+    known = [codeword_rows[p - 1] for p in positions]
+    assert decode_block(gen, positions, known) == tuple(message)
+    symbolwise = [decode_from_positions(gen, positions, [row[ell] for row in known]) for ell in range(len(columns))]
+    assert decode_block(gen, positions, known) == tuple(zip(*symbolwise))
+
+    # The order positions come in does not matter, only that rows follow them.
+    order = list(range(k))
+    rng.shuffle(order)
+    assert decode_block(gen, [positions[j] for j in order], [known[j] for j in order]) == tuple(message)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_cases(), st.data())
+def test_block_decoder_rejects_bad_positions_like_symbolwise(case, data):
+    gen, message, positions, _ = case
+    k, n = gen.k, gen.n
+    outside = data.draw(st.sampled_from([0, -1, n + 1]))
+    spare = [p for p in range(1, n + 1) if p not in positions]
+    extra = positions + spare[:1]
+    cases = [
+        (positions[:-1] + [outside], f"position {outside} outside [1, {n}]"),
+        (extra, f"need exactly k={k} distinct positions, got {extra}"),
+    ]
+    if k > 1:
+        repeated = positions[:-1] + positions[:1]
+        cases.append((repeated, f"need exactly k={k} distinct positions, got {repeated}"))
+    for pos, text in cases:
+        rows = [message[0]] * len(pos)
+        for decode, values in ((decode_block, rows), (decode_from_positions, [r[0] for r in rows])):
+            with pytest.raises(LengthMismatch) as err:
+                decode(gen, pos, values)
+            assert str(err.value) == text
+    with pytest.raises(LengthMismatch) as err:
+        decode_block(gen, positions, message[:-1])
+    assert str(err.value) == f"need k={k} values, got {k - 1}"
