@@ -7,9 +7,11 @@ server-visible plan projection.  Dead-end paths (empty pick sets) carry their
 weight into a rejected mass and the surviving projections are renormalised,
 which is exactly the distribution of the retrying generators.
 
-Indistinguishability across demands is reported as total-variation distance.
-It is diagnostic output only: the scheme's privacy argument is the
-non-repetition invariant, which the census here checks directly.
+Indistinguishability across demands is reported as total-variation distance,
+computed in integers over the lcm of each pair's denominators, with the
+server views interned to small ints once per report.  It is diagnostic output
+only: the scheme's privacy argument is the non-repetition invariant, which the
+census here checks directly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm, prod
 from typing import Optional
 
 from .errors import ConditionsInconsistent, TooLargeToEnumerate
@@ -233,9 +235,7 @@ def query_distribution(
             plan = build(chooser)
         except DeadEnd:
             plan = None
-        prob = Fraction(1)
-        for n in chooser.sizes:
-            prob /= n
+        prob = Fraction(1, prod(chooser.sizes))
         if plan is None:
             dead += prob
         else:
@@ -267,9 +267,19 @@ def sample_query_distribution(
 
 
 def tv_distance(a: dict, b: dict) -> Fraction:
-    """Total-variation distance between two projection distributions."""
-    keys = set(a) | set(b)
-    return sum((abs(a.get(k, Fraction(0)) - b.get(k, Fraction(0))) for k in keys), Fraction(0)) / 2
+    """Total-variation distance between two projection distributions.
+
+    Computed in integers: every probability is scaled to a numerator over L,
+    the lcm of all denominators in ``a`` and ``b``, the absolute differences
+    are summed as ints, and the one Fraction built is ``total / (2 L)``.
+    """
+    common = lcm(*(v.denominator for v in a.values()), *(v.denominator for v in b.values()))
+    scaled = {k: v.numerator * (common // v.denominator) for k, v in a.items()}
+    total = 0
+    for k, v in b.items():
+        total += abs(scaled.pop(k, 0) - v.numerator * (common // v.denominator))
+    total += sum(abs(x) for x in scaled.values())
+    return Fraction(total, 2 * common)
 
 
 @dataclass(frozen=True)
@@ -345,6 +355,14 @@ def privacy_report(
                 for i, d in enumerate(demand_space)
             }
             method, samples = "monte-carlo", mc_samples
+        # Re-key every distribution once by a small int per distinct server
+        # view, shared by all demands, so each TV pair hashes ints rather than
+        # nested (class, subclass) tuples.
+        view_ids: dict = {}
+        dists = {
+            d: {view_ids.setdefault(view, len(view_ids)): p for view, p in dist.items()}
+            for d, dist in dists.items()
+        }
         pairs = tuple(
             (a, b, tv_distance(dists[a], dists[b]))
             for a, b in itertools.combinations(demand_space, 2)

@@ -9,8 +9,9 @@ Subcommands:
     ppir selftest
 
 Exit codes: 0 success, 2 parse error or a bad --demand / --runs value, 3
-validation refused (or the plan search exhausted its retries, or ``rates``
-met parameters that contradict an advantage condition), 4 recovery failure.
+validation refused (``rates`` validates too; also when the plan search
+exhausted its retries, or ``rates`` met parameters that contradict an
+advantage condition), 4 recovery failure.
 Identical inputs produce byte-identical output files.  ``run`` warns on
 stderr when the file's explicit generator does not fit the run's [n, k] and
 the default code is used instead.
@@ -32,6 +33,7 @@ from .errors import (
     AssumptionViolated,
     ConditionsInconsistent,
     ExhaustedIndices,
+    FieldTooSmall,
     MalformedScenario,
     OutOfRange,
     PartitionInfeasible,
@@ -66,8 +68,9 @@ def _emit(text: str, out_path) -> None:
 
 
 def _infer_mode(args, user_count: int) -> str:
-    if args.mode:
-        return args.mode
+    mode = getattr(args, "mode", None)  # ``rates`` has no --mode
+    if mode:
+        return mode
     return "single" if user_count == 1 else "multi"
 
 
@@ -128,6 +131,9 @@ def cmd_audit(args) -> int:
 def cmd_rates(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
+    validation = validate_scenario(scenario, _infer_mode(args, scenario.user_count))
+    if not validation.ok:
+        raise AssumptionViolated(validation)
     params = RateParams.from_scenario(scenario)
     comparisons = [
         comparison_conditions(params.single_user(u))
@@ -194,7 +200,8 @@ def main(argv=None) -> int:
     except OutOfRange as exc:  # a --demand outside [1, class count], or the wrong number of them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (AssumptionViolated, PartitionInfeasible, ExhaustedIndices, ConditionsInconsistent) as exc:
+    # FieldTooSmall: a forced run whose code is longer than the field order
+    except (AssumptionViolated, PartitionInfeasible, ExhaustedIndices, ConditionsInconsistent, FieldTooSmall) as exc:
         print(f"validation refused: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RecoveryFailed as exc:

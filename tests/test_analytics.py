@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import FIVE_CLASS_DEMAND3_QUERIES, TWO_USER_BATCH_B, published_plan
 from ppir import (
@@ -221,6 +222,43 @@ class TestDistributionOracle:
             assert sum(dist.values()) == 1
         tv = tv_distance(query_distribution(s, 1), query_distribution(s, 2))
         assert 0 <= tv <= 1
+
+
+def old_tv(a, b):
+    """The Fraction-sum formula ``tv_distance`` replaced, kept as its oracle."""
+    return sum(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()) / 2
+
+
+INT_KEYS = st.integers(0, 7)
+# Server views: per query, a tuple of (class, subclass) pairs.
+TUPLE_KEYS = st.tuples(*[st.tuples(st.integers(1, 3), st.integers(1, 4))] * 2)
+PROBABILITIES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    # renormalised by a dead mass, as query_distribution does
+    st.builds(
+        lambda v, dead: v / (1 - dead),
+        st.fractions(min_value=0, max_value=1, max_denominator=97),
+        st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=31),
+    ),
+)
+DISTRIBUTION_PAIRS = st.sampled_from([INT_KEYS, TUPLE_KEYS]).flatmap(
+    lambda keys: st.tuples(*[st.dictionaries(keys, PROBABILITIES, max_size=6)] * 2)
+)
+
+
+class TestTvDistance:
+    @given(pair=DISTRIBUTION_PAIRS)
+    @example(pair=({}, {}))
+    @example(pair=({0: Fraction(1, 3), 1: Fraction(2, 3)}, {}))
+    @example(pair=({0: Fraction(1, 7)}, {1: Fraction(5, 11), 2: Fraction(1, 2)}))
+    @example(pair=({((1, 1), (2, 3)): Fraction(2, 9)}, {((1, 1), (2, 3)): Fraction(1, 4) / (1 - Fraction(1, 6))}))
+    def test_matches_fraction_sum(self, pair):
+        a, b = pair
+        tv = tv_distance(a, b)
+        assert tv == old_tv(a, b)
+        assert isinstance(tv, Fraction)
+        assert tv_distance(b, a) == tv
+        assert tv_distance(a, a) == 0
 
 
 class TestPrivacyReport:

@@ -207,6 +207,15 @@ class TestRates:
         doc = json.loads(out.read_text())
         assert doc["rates"]["identified"] == ["1"]
 
+    def test_scenario_failing_validation_exits_3(self, tmp_path):
+        # two_user_three_class fails validation in both modes; ``run`` refuses it too.
+        out = tmp_path / "rates.json"
+        proc = run_cli("rates", fixture("two_user_three_class.json"), "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["validation refused: scenario assumptions not met: query_budget"]
+        assert proc.stdout == ""
+        assert not out.exists()
+
 
 class TestAudit:
     def test_tiny_enumeration_audit(self, tmp_path):

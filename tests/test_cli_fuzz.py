@@ -3,9 +3,12 @@
 Each example takes a bundled fixture, applies a few random mutations (drop a
 key or an array entry, or replace a value with one of another JSON type, an
 out-of-range or huge integer, a boolean or a nested array) and runs
-``ppir run`` (plain and ``--force``) and ``ppir rates`` on it in-process.  Every run must end with an
-exit code in {0, 2, 3, 4}; an uncaught exception fails the example.  ``audit``
-is left out: its enumeration takes minutes on five_class.
+``ppir run`` (plain and ``--force``) and ``ppir rates`` on it in-process, plus
+``ppir audit --runs 1`` on mutated tiny_two_class documents.  Every run must
+end with an exit code in {0, 2, 3, 4}; an uncaught exception fails the
+example.  ``audit`` is not run on five_class: its enumeration takes minutes.  A
+mutation only drops entries or puts in a value of at most 6 leaves, so a
+mutated tiny_two_class keeps its enumeration tiny.
 """
 
 import contextlib
@@ -55,7 +58,9 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated_documents(draw):
-    doc = json.loads(json.dumps(DOCUMENTS[draw(st.sampled_from(FIXTURES))]))
+    """(fixture name, mutated copy of that fixture's document)."""
+    name = draw(st.sampled_from(FIXTURES))
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from([p for p in _paths(doc) if p]))
         parent = doc
@@ -68,7 +73,7 @@ def mutated_documents(draw):
         if path == ("symbols_per_message",) and type(value) is int:
             value = min(value, MAX_SYMBOLS_PER_MESSAGE)
         parent[path[-1]] = value
-    return doc
+    return name, doc
 
 
 def _main(argv):
@@ -81,22 +86,28 @@ def _main(argv):
 def _tiny(**changes):
     doc = json.loads(json.dumps(DOCUMENTS["tiny_two_class.json"]))
     doc.update(changes)
-    return doc
+    return "tiny_two_class.json", doc
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=mutated_documents(), demand=st.integers(0, 6))
+@given(case=mutated_documents(), demand=st.integers(0, 6))
 # Escapes found by this test: an identified_classes check that built
-# [1..eta] for any eta (OverflowError), and a rates self-check that raised a
-# bare RuntimeError on a class the user holds completely.
-@example(doc=_tiny(eta=2**64, users=[{"side_information": [[1], []], "identified_classes": [1]}]), demand=1)
-@example(doc=_tiny(classes=[["random"], ["random"]]), demand=1)
-def test_mutated_documents_keep_exit_contract(doc, demand):
+# [1..eta] for any eta (OverflowError), a rates self-check that raised a
+# bare RuntimeError on a class the user holds completely, and a forced run on
+# a field smaller than the code length (FieldTooSmall).
+@example(case=_tiny(eta=2**64, users=[{"side_information": [[1], []], "identified_classes": [1]}]), demand=1)
+@example(case=_tiny(classes=[["random"], ["random"]]), demand=1)
+@example(case=_tiny(field_order=2), demand=1)
+def test_mutated_documents_keep_exit_contract(case, demand):
+    name, doc = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
         run = ["run", str(path), "--demand", str(demand)]
-        for argv in (run, run + ["--force"], ["rates", str(path)]):
+        commands = [run, run + ["--force"], ["rates", str(path)]]
+        if name == "tiny_two_class.json":
+            commands.append(["audit", str(path), "--runs", "1"])
+        for argv in commands:
             code, err = _main(argv)
             assert code in {0, 2, 3, 4}, (argv[0], code, err)
             assert "Traceback" not in err

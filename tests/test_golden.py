@@ -1,7 +1,9 @@
 """Committed SHA-256 digests of trace and report bytes.
 
 A speedup must not change a single output byte, so these digests pin the
-serialized sessions and one audit report.  Each fixture digest covers every
+serialized sessions and three audit reports: one exact enumeration and two
+Monte Carlo estimates, one of whose TV values is 1/25 rather than the
+saturated "1" every pair of a larger fixture reports.  Each fixture digest covers every
 demand choice of that fixture at one seed: the traces' canonical JSON in
 demand order, or the error class name for a forced run that fails.  Fixtures
 that fail validation (two_user_three_class) run forced, which also exercises
@@ -47,6 +49,15 @@ SESSION_DIGESTS = {
 
 TINY_REPORT_DIGEST = "ed4a53ec09bd041410830e240137b142966cf1487680db095caf43b29d90c884"
 
+MONTE_CARLO_REPORT_DIGESTS = {
+    # TV 1/25 between the two demands
+    ("tiny_two_class.json", "single", 5, 1, 50):
+        "eaca165fbe65b14ee256fc0792e5926c8c36681ba60203fe4087a5fa7a093e91",
+    # 1,176 demand pairs
+    ("two_user_seven_class.json", "multi", 1, 4, 2):
+        "8a8032cea13575380d7ff899777f15a5b6b90eec3be8812438e9816fd8ab2b82",
+}
+
 
 def session_digest(name: str, seed: int) -> str:
     loaded = load_fixture(name)
@@ -70,8 +81,8 @@ def session_digest(name: str, seed: int) -> str:
     return digest.hexdigest()
 
 
-def tiny_report_digest() -> str:
-    report = privacy_report(load_fixture("tiny_two_class.json").scenario, "single", runs=50)
+def report_digest(name: str, mode: str, **kwargs) -> str:
+    report = privacy_report(load_fixture(name).scenario, mode, **kwargs)
     return hashlib.sha256(dump_json(privacy_to_dict(report)).encode()).hexdigest()
 
 
@@ -81,4 +92,12 @@ def test_session_bytes(name, seed):
 
 
 def test_tiny_report_bytes():
-    assert tiny_report_digest() == TINY_REPORT_DIGEST
+    assert report_digest("tiny_two_class.json", "single", runs=50) == TINY_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("name,mode,runs,enum_limit,mc_samples", sorted(MONTE_CARLO_REPORT_DIGESTS))
+def test_monte_carlo_report_bytes(name, mode, runs, enum_limit, mc_samples):
+    digest = report_digest(
+        name, mode, runs=runs, base_seed=3, enum_limit=enum_limit, mc_samples=mc_samples
+    )
+    assert digest == MONTE_CARLO_REPORT_DIGESTS[name, mode, runs, enum_limit, mc_samples]
