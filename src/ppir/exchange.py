@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
 from .mds import Generator, build_systematic_generator, decode_block, parity_block
-from .queries import QueryPlan, Query, generate_multi_user_plan, generate_single_user_plan
+from .queries import Query, generate_multi_user_plan, generate_single_user_plan
 from .scenario import ClassMap, MessageStore, Scenario, SideInformation
 
 

@@ -58,10 +58,6 @@ class Generator:
     def n(self) -> int:
         return len(self.rows[0])
 
-    def column(self, pos: int) -> tuple[int, ...]:
-        """Column at 1-based position pos."""
-        return tuple(row[pos - 1] for row in self.rows)
-
 
 @lru_cache(maxsize=1024)
 def build_systematic_generator(n: int, k: int, field: PrimeField) -> Generator:

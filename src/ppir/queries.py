@@ -102,8 +102,6 @@ class PlanSecrets:
 
     demands: tuple[int, ...]
     designated_index: Optional[int] = None
-    special_classes: Optional[tuple[int, ...]] = None
-    helper_blocks: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -194,8 +192,6 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
     total = s.query_count()
     used: list[set] = [set() for _ in range(gamma + 1)]
     queries = []
-    specials = []
-    blocks_log = []
 
     for j in range(1, total + 1):
         u = query_owner(j, users)
@@ -239,15 +235,8 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
                 used[t].add(beta[t])
 
         queries.append(Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
-        specials.append(v)
-        blocks_log.append(tuple(blocks))
 
-    secrets = PlanSecrets(
-        demands=tuple(demands),
-        special_classes=tuple(specials),
-        helper_blocks=tuple(blocks_log),
-    )
-    return QueryPlan(tuple(queries), s.disclosed_known_count("multi"), secrets)
+    return QueryPlan(tuple(queries), s.disclosed_known_count("multi"), PlanSecrets(tuple(demands)))
 
 
 def require_even_partition(s: Scenario) -> None:

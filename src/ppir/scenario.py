@@ -4,8 +4,10 @@ Conventions used throughout the package:
 
 * all indices are 1-based: global message index f in [1, F], class index
   i in [1, class_count], subclass index in [1, size of class i];
-* a message's subclass index is its position in its class's listing order,
-  and server and users share that order;
+* classes hold consecutive global indices in listing order (class 1 first),
+  so a class map is given by its class sizes alone;
+* a message's subclass index is its position in its class, and server and
+  users share that order;
 * the first ``identifiable_count`` classes are the identifiable ones: users
   know the exact subclass indices of their side information there.  For the
   remaining classes users know only how many messages they hold; the exact
@@ -16,8 +18,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import ceil
 
 from .errors import MalformedScenario, OutOfRange, UnidentifiableAccess
@@ -32,18 +36,22 @@ class MessageStore:
     messages: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.messages) < 2:
+        rows = list(self.messages)
+        if len(rows) < 2:
             raise MalformedScenario("need at least 2 messages")
-        length = len(self.messages[0])
+        length = len(rows[0])
         if length < 1:
             raise MalformedScenario("messages need at least 1 symbol")
         q = self.field.order
-        for f, row in enumerate(self.messages, start=1):
+        for f, row in enumerate(rows, start=1):
             if len(row) != length:
                 raise MalformedScenario(f"message {f} has {len(row)} symbols, expected {length}")
             for v in row:
                 if type(v) is not int or not 0 <= v < q:
                     raise MalformedScenario(f"message {f} symbol {v!r} outside [0, {q})")
+            if type(row) is not tuple:  # decoded rows are tuples and must compare equal
+                rows[f - 1] = tuple(row)
+        object.__setattr__(self, "messages", tuple(rows))
 
     @property
     def message_count(self) -> int:
@@ -59,74 +67,57 @@ class MessageStore:
         return self.messages[f - 1]
 
 
+@dataclass(frozen=True)
 class ClassMap:
-    """Partition of the global message indices [1, F] into ordered classes.
+    """Partition of the global message indices [1, F] into classes of consecutive indices.
 
-    Position beta within class i's list is that message's subclass index, so
-    the listing order of each class defines the (class, subclass) addressing.
+    Class i holds the ``sizes[i - 1]`` indices that follow those of classes
+    1..i-1, so subclass index beta of class i is global index start + beta.
     """
 
-    def __init__(self, classes):
-        classes = tuple(tuple(c) for c in classes)
-        if len(classes) < 2:
+    sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        sizes = tuple(self.sizes)
+        if len(sizes) < 2:
             raise MalformedScenario("need at least 2 classes")
-        seen = {}
-        for i, members in enumerate(classes, start=1):
-            if not members:
-                raise MalformedScenario(f"class {i} is empty")
-            for f in members:
-                if f in seen:
-                    raise MalformedScenario(f"message {f} appears in classes {seen[f]} and {i}")
-                seen[f] = i
-        total = len(seen)
-        if set(seen) != set(range(1, total + 1)):
-            raise MalformedScenario("class lists must partition exactly [1, F]")
-        self.classes = classes
-        self._pair_of = {}
-        for i, members in enumerate(classes, start=1):
-            for beta, f in enumerate(members, start=1):
-                self._pair_of[f] = (i, beta)
+        for i, size in enumerate(sizes, start=1):
+            if type(size) is not int or size < 1:
+                raise MalformedScenario(f"class {i} must hold at least one message, got size {size!r}")
+        object.__setattr__(self, "sizes", sizes)
+
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """Global indices before each class, then F."""
+        return tuple(accumulate(self.sizes, initial=0))
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
     @property
     def total_messages(self) -> int:
-        return len(self._pair_of)
+        return self._starts[-1]
 
     def size(self, i: int) -> int:
         self._check_class(i)
-        return len(self.classes[i - 1])
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return self.sizes[i - 1]
 
     def pair_to_global(self, i: int, beta: int) -> int:
-        self._check_class(i)
-        if not 1 <= beta <= len(self.classes[i - 1]):
-            raise OutOfRange(f"subclass {beta} outside [1, {len(self.classes[i - 1])}] for class {i}")
-        return self.classes[i - 1][beta - 1]
+        size = self.size(i)
+        if not 1 <= beta <= size:
+            raise OutOfRange(f"subclass {beta} outside [1, {size}] for class {i}")
+        return self._starts[i - 1] + beta
 
     def global_to_pair(self, f: int) -> tuple[int, int]:
-        try:
-            return self._pair_of[f]
-        except KeyError:
-            raise OutOfRange(f"global index {f} outside [1, {self.total_messages}]") from None
+        if not 1 <= f <= self.total_messages:
+            raise OutOfRange(f"global index {f} outside [1, {self.total_messages}]")
+        i = bisect_left(self._starts, f)
+        return i, f - self._starts[i - 1]
 
     def _check_class(self, i: int) -> None:
-        if not 1 <= i <= len(self.classes):
-            raise OutOfRange(f"class {i} outside [1, {len(self.classes)}]")
-
-    def __eq__(self, other):
-        return isinstance(other, ClassMap) and self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
-
-    def __repr__(self):
-        return f"ClassMap(sizes={self.sizes})"
+        if not 1 <= i <= len(self.sizes):
+            raise OutOfRange(f"class {i} outside [1, {len(self.sizes)}]")
 
 
 @dataclass(frozen=True)
@@ -140,12 +131,6 @@ class SideInformation:
 
     identifiable_count: int
     indices: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.identifiable_count <= len(self.indices):
-            raise MalformedScenario(
-                f"identifiable count {self.identifiable_count} outside [1, {len(self.indices)}]"
-            )
 
     @property
     def class_count(self) -> int:
@@ -410,9 +395,4 @@ def random_store(field: PrimeField, class_sizes, symbols_per_message: int, seed:
 
 def sequential_class_map(class_sizes) -> ClassMap:
     """Class map whose global indices run 1..F in listing order."""
-    classes = []
-    nxt = 1
-    for size in class_sizes:
-        classes.append(tuple(range(nxt, nxt + size)))
-        nxt += size
-    return ClassMap(classes)
+    return ClassMap(class_sizes)

@@ -39,7 +39,6 @@ from .exchange import SessionTrace
 from .field import PrimeField
 from .mds import Generator, generator_from_explicit
 from .scenario import (
-    ClassMap,
     MessageStore,
     Scenario,
     SideInformation,
@@ -83,13 +82,11 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         field = PrimeField(order)
     except PpirError as exc:
         raise MalformedScenario(f"bad field_order: {exc}") from exc
-    if length < 1:
-        raise MalformedScenario("symbols_per_message must be >= 1")
 
     sizes = []
     for i, members in enumerate(classes, start=1):
-        if not isinstance(members, list) or not members:
-            raise MalformedScenario(f"class {i} must be a non-empty array of descriptors")
+        if not isinstance(members, list):
+            raise MalformedScenario(f"class {i} must be an array of descriptors")
         sizes.append(len(members))
     class_map = sequential_class_map(sizes)
 
@@ -107,27 +104,18 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
                     raise MalformedScenario(
                         f"message {f}: expected {length} symbols, got {len(descriptor)}"
                     )
-                for v in descriptor:
-                    if type(v) is not int or not 0 <= v < order:
-                        raise MalformedScenario(f"message {f}: symbol {v!r} outside [0, {order})")
-                rows.append(tuple(descriptor))
+                rows.append(descriptor)  # MessageStore checks the symbols
             else:
                 raise MalformedScenario(
                     f"message {f}: descriptor must be a symbol array or \"random\""
                 )
-    store = MessageStore(field, tuple(rows))
+    store = MessageStore(field, rows)
 
-    if not users:
-        raise MalformedScenario("need at least one user")
     side_infos = []
     for u, entry in enumerate(users, start=1):
         if not isinstance(entry, dict):
             raise MalformedScenario(f"user {u} must be an object")
         lists = _require(entry, "side_information", list)
-        if len(lists) != len(classes):
-            raise MalformedScenario(
-                f"user {u}: expected {len(classes)} side-information lists, got {len(lists)}"
-            )
         index_sets = []
         for i, indices in enumerate(lists, start=1):
             if not isinstance(indices, list):

@@ -82,6 +82,19 @@ class TestRun:
             pytest.param("five_class.json", ("explicit_generator", 0, 0), True, id="bool-generator-entry"),
             pytest.param("five_class.json", ("classes", 0, 2, 1), True, id="bool-symbol"),
             pytest.param("five_class.json", ("users", 0, "identified_classes", 0), True, id="bool-identified-class"),
+            # One case per input check the model classes own.
+            pytest.param("five_class.json", ("classes", 0, 2, 1), 11, id="symbol-equal-to-field-order"),
+            pytest.param("five_class.json", ("classes", 0, 2, 1), -1, id="negative-symbol"),
+            pytest.param("five_class.json", ("classes", 0, 2, 1), "1", id="string-symbol"),
+            pytest.param("five_class.json", ("classes", 0, 2), [0], id="short-row"),
+            pytest.param("tiny_two_class.json", ("classes", 1), [], id="empty-class"),
+            pytest.param("tiny_two_class.json", ("classes",), [["random", "random"]], id="one-class"),
+            pytest.param("tiny_two_class.json", ("users", 0, "side_information"), [[1]], id="side-information-list-missing"),
+            pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), 99, id="subclass-index-99"),
+            pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), 0, id="subclass-index-0"),
+            pytest.param("tiny_two_class.json", ("eta",), 0, id="eta-0"),
+            pytest.param("tiny_two_class.json", ("eta",), 3, id="eta-above-class-count"),
+            pytest.param("tiny_two_class.json", ("users",), [], id="no-users"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, name, path, value):

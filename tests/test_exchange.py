@@ -8,12 +8,14 @@ from ppir import (
     Answer,
     MessageStore,
     Scenario,
+    SideInformation,
     answer_query,
     build_systematic_generator,
     decode_answer,
     generate_single_user_plan,
     plan_from_pairs,
     run_session,
+    sequential_class_map,
     session_generator,
 )
 from ppir.errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
@@ -186,6 +188,16 @@ class TestRunSession:
         assert disclosed == s.identifiable_count - 1
         flat = {x for q in queries for pair in q for x in pair}
         assert all(isinstance(x, int) for x in flat)
+
+    def test_list_rows_decode(self):
+        # Rows handed over as lists are stored as tuples, so decoded messages
+        # compare equal to them.
+        rows = [[f % 11, 3 * f % 11] for f in range(1, 9)]
+        store = MessageStore(PrimeField(11), rows)
+        assert all(type(row) is tuple for row in store.messages)
+        si = SideInformation(1, (frozenset({1}), frozenset()))
+        s = Scenario(store, sequential_class_map((4, 4)), (si,), 1, 0)
+        assert run_session(s, 1, seed=2).rate == Fraction(1, 2)
 
     def test_recovery_failure_reported(self, two_user_small):
         # One query cannot serve two users; with validation forced off, the

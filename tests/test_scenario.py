@@ -12,19 +12,22 @@ from ppir import (
 from ppir.errors import MalformedScenario, OutOfRange, UnidentifiableAccess
 from ppir.field import PrimeField
 
-# The worked nine-message index mapping: three classes listed out of global order.
-MAPPING = ClassMap([(1, 8, 7), (2, 3, 5), (4, 6, 9)])
+# Nine messages in three classes of consecutive global indices: 1-3, 4-5, 6-9.
+MAPPING = sequential_class_map((3, 2, 4))
 
 
 class TestClassMap:
     def test_pair_to_global_goldens(self):
-        assert MAPPING.pair_to_global(2, 3) == 5
+        assert MAPPING.pair_to_global(2, 2) == 5
         assert MAPPING.pair_to_global(1, 1) == 1
-        assert MAPPING.pair_to_global(3, 3) == 9
+        assert MAPPING.pair_to_global(3, 1) == 6
+        assert MAPPING.pair_to_global(3, 4) == 9
 
     def test_global_to_pair_goldens(self):
-        assert MAPPING.global_to_pair(5) == (2, 3)
-        assert MAPPING.global_to_pair(8) == (1, 2)
+        assert MAPPING.global_to_pair(3) == (1, 3)
+        assert MAPPING.global_to_pair(4) == (2, 1)
+        assert MAPPING.global_to_pair(5) == (2, 2)
+        assert MAPPING.global_to_pair(9) == (3, 4)
 
     def test_bijection(self):
         for f in range(1, 10):
@@ -32,8 +35,9 @@ class TestClassMap:
             assert MAPPING.pair_to_global(i, beta) == f
 
     def test_sizes(self):
-        assert MAPPING.sizes == (3, 3, 3)
+        assert MAPPING.sizes == (3, 2, 4)
         assert sum(MAPPING.sizes) == MAPPING.total_messages == 9
+        assert MAPPING == ClassMap([3, 2, 4])
 
     @pytest.mark.parametrize("i,beta", [(0, 1), (4, 1), (1, 0), (1, 4)])
     def test_pair_out_of_range(self, i, beta):
@@ -45,17 +49,17 @@ class TestClassMap:
         with pytest.raises(OutOfRange):
             MAPPING.global_to_pair(f)
 
-    def test_overlapping_classes_rejected(self):
-        with pytest.raises(MalformedScenario):
-            ClassMap([(1, 2), (2, 3)])
-
-    def test_gap_rejected(self):
-        with pytest.raises(MalformedScenario):
-            ClassMap([(1, 2), (4, 5)])
-
     def test_empty_class_rejected(self):
         with pytest.raises(MalformedScenario):
-            ClassMap([(1, 2), ()])
+            sequential_class_map((2, 0))
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(MalformedScenario):
+            sequential_class_map((2, True))
+
+    def test_single_class_rejected(self):
+        with pytest.raises(MalformedScenario):
+            sequential_class_map((5,))
 
 
 class TestSideInformationView:
