@@ -13,11 +13,11 @@ from ppir.fixtures import fixture_path
 tiny = load_scenario(str(fixture_path("tiny_two_class.json"))).scenario
 print("tiny two-class scenario: exact plan distribution per demand")
 for v in (1, 2):
-    dist = query_distribution(tiny, v)
+    dist = query_distribution(tiny, (v,))
     for (disclosed, queries), prob in sorted(dist.items()):
         print(f"  demand {v}: plan {[list(map(list, q)) for q in queries]} with probability {prob}")
 print(f"total variation between the two demands: "
-      f"{tv_distance(query_distribution(tiny, 1), query_distribution(tiny, 2))}")
+      f"{tv_distance(query_distribution(tiny, (1,)), query_distribution(tiny, (2,)))}")
 
 print("\nfive-class scenario: census over 200 seeded plans per demand")
 five = load_scenario(str(fixture_path("five_class.json"))).scenario

@@ -32,9 +32,7 @@ from .queries import (
     RandomChooser,
     _retrying,
     audit_non_repetition,
-    build_multi_plan,
-    build_single_plan,
-    require_even_partition,
+    plan_builder,
 )
 from .scenario import Scenario, helper_budget, kmax
 
@@ -203,17 +201,8 @@ class _ReplayChooser(Chooser):
         return idx
 
 
-def _plan_builder(s: Scenario, demands, mode: str):
-    if mode == "single":
-        v = demands if isinstance(demands, int) else demands[0]
-        return lambda chooser: build_single_plan(s, v, chooser)
-    demands = tuple(demands)
-    require_even_partition(s)
-    return lambda chooser: build_multi_plan(s, demands, chooser)
-
-
 def query_distribution(
-    s: Scenario, demands, mode: str = "single", *, limit: int = ENUMERATION_LIMIT
+    s: Scenario, demands: tuple, mode: str = "single", *, limit: int = ENUMERATION_LIMIT
 ) -> dict:
     """Exact probability of every server-visible plan projection.
 
@@ -221,7 +210,7 @@ def query_distribution(
     pick; this is the brute-force oracle the Monte Carlo estimator is checked
     against.  Raises TooLargeToEnumerate past ``limit`` leaves.
     """
-    build = _plan_builder(s, demands, mode)
+    build = plan_builder(s, demands, mode)
     results: dict = defaultdict(Fraction)
     dead = Fraction(0)
     prefix: list[int] = []
@@ -255,10 +244,10 @@ def query_distribution(
 
 
 def sample_query_distribution(
-    s: Scenario, demands, mode: str = "single", *, samples: int, seed: int = 0
+    s: Scenario, demands: tuple, mode: str = "single", *, samples: int, seed: int = 0
 ) -> dict:
     """Empirical projection distribution from running the actual generator."""
-    build = _plan_builder(s, demands, mode)
+    build = plan_builder(s, demands, mode)
     chooser = RandomChooser(random.Random(seed))
     counts: Counter = Counter()
     for _ in range(samples):
@@ -323,7 +312,7 @@ def privacy_report(
     failures = 0
     witnesses = []
     for d_idx, demands in enumerate(demand_space):
-        build = _plan_builder(s, demands, mode)
+        build = plan_builder(s, demands, mode)
         for t in range(runs):
             chooser = RandomChooser(random.Random(base_seed + 1_000_003 * d_idx + t))
             plan = _retrying(build, chooser)

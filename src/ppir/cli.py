@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 parse error or a bad --demand / --runs value, 3
 validation refused (``rates`` validates too; also when the plan search
 exhausted its retries, or ``rates`` met parameters that contradict an
-advantage condition), 4 recovery failure.
+advantage condition), 4 recovery failure (a decoded message differs from the
+store, a user gains no new message, or the plan breaks a selection rule).
 Identical inputs produce byte-identical output files.  ``run`` warns on
 stderr when the file's explicit generator does not fit the run's [n, k] and
 the default code is used instead.

@@ -85,7 +85,8 @@ class InsufficientKnowns(PpirError):
 
 
 class RecoveryFailed(PpirError):
-    """A user decoded a message that differs from the store, or gained no new desired-class message."""
+    """A session's plan broke a selection rule, a user decoded a message that differs
+    from the store, or a user gained no new desired-class message."""
 
 
 # --- analytics ---

@@ -13,8 +13,10 @@ unidentifiable class does not reveal which queried pair it answers) and
 erasure-decodes the whole message block, with one column inverse per query,
 whenever enough coordinates are known.  Queries that fall short are skipped,
 which is the expected outcome for non-designated queries when the desired
-class is identifiable.  Every decoded message is compared with the store, so
-a wrong answer ends the session with RecoveryFailed instead of a wrong trace.
+class is identifiable.  Every plan is checked against the scheme's selection
+rules before the server sees it, and every decoded message is compared with
+the store, so a bad plan or a wrong answer ends the session with
+RecoveryFailed instead of a wrong trace.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
 from .mds import Generator, build_systematic_generator, decode_block, parity_block
-from .queries import Query, generate_multi_user_plan, generate_single_user_plan
+from .queries import Query, check_plan, generate_multi_user_plan, generate_single_user_plan
 from .scenario import ClassMap, MessageStore, Scenario, SideInformation
 
 
@@ -140,8 +142,9 @@ def run_session(
     ``demands`` is a single class index (one user) or one index per user
     (collaborative).  Every user receives every answer over the shared link
     and decodes what it can; sessions are stateless, so decoded messages are
-    not folded back into side information.  Raises RecoveryFailed when a
-    decoded message differs from the store or a user gains no new message.
+    not folded back into side information.  Raises RecoveryFailed when the
+    plan breaks a selection rule of ``check_plan``, a decoded message differs
+    from the store, or a user gains no new message.
     """
     if isinstance(demands, int):
         mode = "single"
@@ -151,6 +154,11 @@ def run_session(
         mode = "multi"
         demand_tuple = tuple(demands)
         plan = generate_multi_user_plan(s, demand_tuple, seed=seed, force=force)
+    check = check_plan(s, demand_tuple, plan, mode)
+    if not check.ok:
+        raise RecoveryFailed(
+            "plan breaks the selection rules: " + ", ".join(r.name for r in check.failed())
+        )
 
     gen = session_generator(s, mode, explicit_generator)
     answers = tuple(

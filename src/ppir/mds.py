@@ -134,17 +134,11 @@ def _find_singular_subset(gen: Generator):
         rng = random.Random(0xC0DE)
         subsets = (tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(MDS_SAMPLE_COUNT))
     for cols in subsets:
-        if not _invertible(gen, cols):
+        try:
+            _column_inverse(gen, cols)
+        except SingularSubmatrix:
             return cols
     return None
-
-
-def _invertible(gen: Generator, cols) -> bool:
-    try:
-        _column_inverse(gen, tuple(cols))
-        return True
-    except SingularSubmatrix:
-        return False
 
 
 def encode(gen: Generator, message) -> tuple[int, ...]:

@@ -19,6 +19,13 @@ stream.  On scenarios that validate, the single-user builder provably never
 dead-ends (the designated query is built first) and the collaborative builder
 dead-ends only on contrived side-information overlaps, where retrying is
 exactly rejection sampling: the result is uniform over the valid realisations.
+
+``plan_builder`` is the one plan entry: it checks the demand tuple (one
+demand in single mode, one per user in multi mode, each an existing class)
+and the collaborative helper partition, and picks the builder.  The
+generators, the distribution oracles and the census all start there.
+``check_plan`` checks demands the same way and re-derives the selection rules
+from the bare pairs; every protocol session runs it on its own plan.
 """
 
 from __future__ import annotations
@@ -89,26 +96,11 @@ class Query:
     index: int
     pairs: tuple[tuple[int, int], ...]
 
-    def subclass_of(self, i: int) -> int:
-        for c, beta in self.pairs:
-            if c == i:
-                return beta
-        raise OutOfRange(f"query {self.index} has no pair for class {i}")
-
-
-@dataclass(frozen=True)
-class PlanSecrets:
-    """Client-side metadata; never part of the server projection."""
-
-    demands: tuple[int, ...]
-    designated_index: Optional[int] = None
-
 
 @dataclass(frozen=True)
 class QueryPlan:
     queries: tuple[Query, ...]
     disclosed_known_count: int
-    secrets: Optional[PlanSecrets] = None
 
     def server_view(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
         """Everything the server receives: bare pair lists plus the code-dimension hint."""
@@ -166,14 +158,12 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
         for j in range(1, total + 1):
             if j != r:
                 chosen[j] = [draw(i, None) for i in classes]
-        secrets = PlanSecrets(demands=(desired_class,), designated_index=r)
     else:
         for j in range(1, total + 1):
             chosen[j] = [draw(i, (j - 1) % eta + 1) for i in classes]
-        secrets = PlanSecrets(demands=(desired_class,))
 
     queries = tuple(Query(j, tuple(chosen[j])) for j in range(1, total + 1))
-    return QueryPlan(queries, s.disclosed_known_count("single"), secrets)
+    return QueryPlan(queries, s.disclosed_known_count("single"))
 
 
 def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
@@ -236,16 +226,35 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
 
         queries.append(Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
 
-    return QueryPlan(tuple(queries), s.disclosed_known_count("multi"), PlanSecrets(tuple(demands)))
+    return QueryPlan(tuple(queries), s.disclosed_known_count("multi"))
 
 
-def require_even_partition(s: Scenario) -> None:
-    """The collaborative scheme splits the helper classes evenly across users."""
+def _check_demands(s: Scenario, demands: tuple, mode: str) -> None:
+    """One demand per user in multi mode, exactly one in single mode, each an existing class."""
+    count = 1 if mode == "single" else s.user_count
+    if len(demands) != count:
+        raise OutOfRange(f"need {count} demands, got {len(demands)}")
+    for v in demands:
+        if not 1 <= v <= s.class_count:
+            raise OutOfRange(f"desired class {v} outside [1, {s.class_count}]")
+
+
+def plan_builder(s: Scenario, demands: tuple, mode: str):
+    """The one-attempt builder for ``demands`` in ``mode``, as a function of a Chooser.
+
+    Raises OutOfRange on a wrong demand count or class, and PartitionInfeasible
+    when the collaborative helper classes cannot split evenly across the users.
+    """
+    _check_demands(s, demands, mode)
+    if mode == "single":
+        v = demands[0]
+        return lambda chooser: build_single_plan(s, v, chooser)
     if (s.identifiable_count - 1) % s.user_count != 0:
         raise PartitionInfeasible(
             f"{s.identifiable_count - 1} helper classes cannot be split evenly "
             f"across {s.user_count} users"
         )
+    return lambda chooser: build_multi_plan(s, demands, chooser)
 
 
 def _retrying(build, chooser: Chooser) -> QueryPlan:
@@ -269,15 +278,7 @@ def generate_single_user_plan(
     force: bool = False,
 ) -> QueryPlan:
     """Seeded plan for one user wanting any new message of ``desired_class``."""
-    if not 1 <= desired_class <= s.class_count:
-        raise OutOfRange(f"desired class {desired_class} outside [1, {s.class_count}]")
-    if not force:
-        report = validate_scenario(s, "single")
-        if not report.ok:
-            raise AssumptionViolated(report)
-    if rng is None:
-        rng = random.Random(s.seed if seed is None else seed)
-    return _retrying(lambda c: build_single_plan(s, desired_class, c), RandomChooser(rng))
+    return _generate(s, (desired_class,), "single", seed, rng, force)
 
 
 def generate_multi_user_plan(
@@ -289,20 +290,18 @@ def generate_multi_user_plan(
     force: bool = False,
 ) -> QueryPlan:
     """Seeded collaborative plan for one demand per user."""
-    demands = tuple(demands)
-    if len(demands) != s.user_count:
-        raise OutOfRange(f"need {s.user_count} demands, got {len(demands)}")
-    for v in demands:
-        if not 1 <= v <= s.class_count:
-            raise OutOfRange(f"desired class {v} outside [1, {s.class_count}]")
-    require_even_partition(s)
+    return _generate(s, tuple(demands), "multi", seed, rng, force)
+
+
+def _generate(s: Scenario, demands: tuple, mode: str, seed, rng, force: bool) -> QueryPlan:
+    build = plan_builder(s, demands, mode)
     if not force:
-        report = validate_scenario(s, "multi")
+        report = validate_scenario(s, mode)
         if not report.ok:
             raise AssumptionViolated(report)
     if rng is None:
         rng = random.Random(s.seed if seed is None else seed)
-    return _retrying(lambda c: build_multi_plan(s, demands, c), RandomChooser(rng))
+    return _retrying(build, RandomChooser(rng))
 
 
 @dataclass(frozen=True)
@@ -365,15 +364,18 @@ def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
     return rules
 
 
-def check_plan(s: Scenario, demands, plan: QueryPlan, mode: str) -> ValidationReport:
+def check_plan(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) -> ValidationReport:
     """Structural validity of a plan against the scheme's selection rules.
 
     Membership is checked structurally (does some admissible realisation of
     the random choices produce these pairs), so published transcripts can be
-    verified without knowing the private draws that made them.
+    verified without knowing the private draws that made them.  Demands are
+    checked as ``plan_builder`` checks them.
     """
-    demands = (demands,) if isinstance(demands, int) else tuple(demands)
+    _check_demands(s, demands, mode)
     rules = _shape_rules(s, plan, mode)  # raises ValueError on an unknown mode
+    # Only plans of the right shape reach the mode rules, which read class i's
+    # subclass index in a query as q.pairs[i - 1][1].
     if all(r.passed for r in rules):
         if mode == "single":
             rules.extend(_single_rules(s, demands[0], plan))
@@ -388,10 +390,10 @@ def _single_rules(s: Scenario, v: int, plan: QueryPlan) -> list[RuleResult]:
     if v <= eta:
         witnesses = []
         for q in plan.queries:
-            if q.subclass_of(v) in si.known_indices(v):
+            if q.pairs[v - 1][1] in si.known_indices(v):
                 continue
             if all(
-                q.subclass_of(i) in si.known_indices(i)
+                q.pairs[i - 1][1] in si.known_indices(i)
                 for i in range(1, eta + 1)
                 if i != v
             ):
@@ -409,10 +411,10 @@ def _single_rules(s: Scenario, v: int, plan: QueryPlan) -> list[RuleResult]:
     bad_known = []
     for q in plan.queries:
         t = (q.index - 1) % eta + 1
-        if q.subclass_of(t) in si.known_indices(t):
+        if q.pairs[t - 1][1] in si.known_indices(t):
             bad_fresh.append((q.index, t))
         for i in range(1, eta + 1):
-            if i != t and q.subclass_of(i) not in si.known_indices(i):
+            if i != t and q.pairs[i - 1][1] not in si.known_indices(i):
                 bad_known.append((q.index, i))
     return [
         RuleResult(
@@ -441,9 +443,7 @@ def _multi_rules(s: Scenario, demands, plan: QueryPlan) -> list[RuleResult]:
             candidates = [demands[q.index - 1]]
         else:
             candidates = list(range(1, eta + 1))
-        if not any(self_consistent for self_consistent in (
-            _assignment_exists(s, q, v, u, budget) for v in candidates
-        )):
+        if not any(_assignment_exists(s, q, v, u, budget) for v in candidates):
             bad.append(q.index)
     return [
         RuleResult(
@@ -457,7 +457,7 @@ def _multi_rules(s: Scenario, demands, plan: QueryPlan) -> list[RuleResult]:
 
 
 def _assignment_exists(s: Scenario, q: Query, v: int, owner: int, budget: int) -> bool:
-    if q.subclass_of(v) in s.users[owner - 1].known_indices(v):
+    if q.pairs[v - 1][1] in s.users[owner - 1].known_indices(v):
         return False
     helpers = [c for c in range(1, s.identifiable_count + 1) if c != v]
 
@@ -465,7 +465,7 @@ def _assignment_exists(s: Scenario, q: Query, v: int, owner: int, budget: int) -
         if user > s.user_count:
             return not remaining
         for block in itertools.combinations(remaining, budget):
-            if all(q.subclass_of(t) in s.users[user - 1].known_indices(t) for t in block):
+            if all(q.pairs[t - 1][1] in s.users[user - 1].known_indices(t) for t in block):
                 rest = [c for c in remaining if c not in block]
                 if assign(rest, user + 1):
                     return True

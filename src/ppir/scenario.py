@@ -18,7 +18,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -109,12 +108,6 @@ class ClassMap:
             raise OutOfRange(f"subclass {beta} outside [1, {size}] for class {i}")
         return self._starts[i - 1] + beta
 
-    def global_to_pair(self, f: int) -> tuple[int, int]:
-        if not 1 <= f <= self.total_messages:
-            raise OutOfRange(f"global index {f} outside [1, {self.total_messages}]")
-        i = bisect_left(self._starts, f)
-        return i, f - self._starts[i - 1]
-
     def _check_class(self, i: int) -> None:
         if not 1 <= i <= len(self.sizes):
             raise OutOfRange(f"class {i} outside [1, {len(self.sizes)}]")
@@ -143,10 +136,6 @@ class SideInformation:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.indices)
-
-    @property
-    def total(self) -> int:
-        return sum(len(s) for s in self.indices)
 
     def known_indices(self, i: int) -> frozenset:
         """Subclass indices the user itself can see; identifiable classes only."""

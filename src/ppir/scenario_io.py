@@ -228,9 +228,7 @@ def rates_to_dict(comparisons: list[ComparisonReport], multi: Fraction, naive: F
     return doc
 
 
-def comparison_to_dict(report: Optional[ComparisonReport]) -> Optional[dict]:
-    if report is None:
-        return None
+def comparison_to_dict(report: ComparisonReport) -> dict:
     return {
         name: {"status": flag.status, "witnesses": [list(w) if isinstance(w, tuple) else w for w in flag.witnesses]}
         for name, flag in report.flags.items()

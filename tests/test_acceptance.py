@@ -215,10 +215,10 @@ def test_criterion_9_distribution_oracle(tiny):
     scenario = tiny.scenario
     exact = {}
     for v in (1, 2):
-        dist = query_distribution(scenario, v)
+        dist = query_distribution(scenario, (v,))
         assert sum(dist.values()) == 1
         exact[v] = dist
-    sampled = sample_query_distribution(scenario, 2, samples=100_000, seed=9)
+    sampled = sample_query_distribution(scenario, (2,), samples=100_000, seed=9)
     gap = tv_distance(exact[2], sampled)
     assert gap <= Fraction(1, 50)
     elapsed = time.perf_counter() - start

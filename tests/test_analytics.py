@@ -187,26 +187,26 @@ class TestNonRepetitionAudit:
 class TestDistributionOracle:
     def test_tiny_distributions_sum_to_one(self, tiny):
         for v in (1, 2):
-            dist = query_distribution(tiny.scenario, v)
+            dist = query_distribution(tiny.scenario, (v,))
             assert sum(dist.values()) == 1
             assert all(isinstance(p, Fraction) for p in dist.values())
 
     def test_tiny_demands_are_indistinguishable(self, tiny):
-        d1 = query_distribution(tiny.scenario, 1)
-        d2 = query_distribution(tiny.scenario, 2)
+        d1 = query_distribution(tiny.scenario, (1,))
+        d2 = query_distribution(tiny.scenario, (2,))
         assert tv_distance(d1, d2) == 0
 
     def test_tv_of_identical_distribution_is_zero(self, tiny):
-        d = query_distribution(tiny.scenario, 1)
+        d = query_distribution(tiny.scenario, (1,))
         assert tv_distance(d, d) == 0
 
     def test_enumeration_budget_enforced(self, five_class):
         with pytest.raises(TooLargeToEnumerate):
-            query_distribution(five_class.scenario, 4, limit=50)
+            query_distribution(five_class.scenario, (4,), limit=50)
 
     def test_sampling_matches_enumeration(self, tiny):
-        exact = query_distribution(tiny.scenario, 2)
-        sampled = sample_query_distribution(tiny.scenario, 2, samples=20000, seed=5)
+        exact = query_distribution(tiny.scenario, (2,))
+        sampled = sample_query_distribution(tiny.scenario, (2,), samples=20000, seed=5)
         assert tv_distance(exact, sampled) < Fraction(1, 50)
 
     def test_two_query_scenario_enumerates_both_demands(self):
@@ -218,9 +218,9 @@ class TestDistributionOracle:
         si = SideInformation(1, (frozenset({1}), frozenset({2})))
         s = Scenario(store, sequential_class_map(sizes), (si,), 1, seed=8)
         for v in (1, 2):
-            dist = query_distribution(s, v)
+            dist = query_distribution(s, (v,))
             assert sum(dist.values()) == 1
-        tv = tv_distance(query_distribution(s, 1), query_distribution(s, 2))
+        tv = tv_distance(query_distribution(s, (1,)), query_distribution(s, (2,)))
         assert 0 <= tv <= 1
 
 

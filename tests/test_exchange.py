@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 import ppir.exchange as exchange
+import ppir.queries as queries
+from ppir import cli
 from helpers import FIVE_CLASS_DEMAND3_QUERIES, published_plan
 from ppir import (
     Answer,
@@ -11,6 +13,7 @@ from ppir import (
     SideInformation,
     answer_query,
     build_systematic_generator,
+    check_plan,
     decode_answer,
     generate_single_user_plan,
     plan_from_pairs,
@@ -20,7 +23,8 @@ from ppir import (
 )
 from ppir.errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
 from ppir.field import PrimeField
-from ppir.queries import Query
+from ppir.fixtures import fixture_path
+from ppir.queries import Query, QueryPlan
 
 
 def _si_contents(scenario, user=0):
@@ -161,7 +165,9 @@ class TestRunSession:
         for seed in range(10):
             plan = generate_single_user_plan(s, 1, seed=seed)
             trace = run_session(s, 1, seed=seed, explicit_generator=five_class.explicit_generator)
-            assert plan.secrets.designated_index in trace.users[0].decoded_queries
+            rules = {r.name: r for r in check_plan(s, (1,), plan, "single").rules}
+            designated = rules["designated_query"].witnesses
+            assert designated and set(designated) <= set(trace.users[0].decoded_queries)
 
     def test_decoded_symbols_match_store(self, five_class):
         s = five_class.scenario
@@ -251,3 +257,33 @@ def test_default_generator_sessions_also_recover(six_class):
         trace = run_session(s, v, seed=v)
         assert trace.users[0].new_messages
         assert trace.rate == Fraction(1, 12)
+
+
+class TestPlanPostcondition:
+    """Every session checks its own plan against the selection rules."""
+
+    @pytest.fixture
+    def repeating_builder(self, monkeypatch):
+        # The real single-user builder, except that query 2 reuses query 1's
+        # index in the last (unidentifiable) class.
+        honest = queries.build_single_plan
+
+        def repeat(s, desired_class, chooser):
+            plan = honest(s, desired_class, chooser)
+            first, second = plan.queries[:2]
+            bad = Query(second.index, second.pairs[:-1] + first.pairs[-1:])
+            return QueryPlan((first, bad) + plan.queries[2:], plan.disclosed_known_count)
+
+        monkeypatch.setattr(queries, "build_single_plan", repeat)
+
+    def test_run_session_refuses_repeated_index(self, five_class, repeating_builder):
+        with pytest.raises(RecoveryFailed, match=r"selection rules: non_repetition$"):
+            run_session(five_class.scenario, 3, seed=5, explicit_generator=five_class.explicit_generator)
+
+    def test_cli_exits_4(self, repeating_builder, capsys):
+        path = str(fixture_path("five_class.json"))
+        assert cli.main(["run", path, "--demand", "3", "--seed", "5"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("recovery failed:")
+        assert "non_repetition" in err

@@ -7,7 +7,9 @@ saturated "1" every pair of a larger fixture reports.  Each fixture digest cover
 demand choice of that fixture at one seed: the traces' canonical JSON in
 demand order, or the error class name for a forced run that fails.  Fixtures
 that fail validation (two_user_three_class) run forced, which also exercises
-plan retries and recovery failures.
+plan retries and recovery failures.  One-user fixtures are also pinned in
+multi mode (``ppir run --mode multi``), forced where that mode's validation
+refuses them (five_class).
 """
 
 import hashlib
@@ -47,6 +49,18 @@ SESSION_DIGESTS = {
         "9e09a4f78d691b7faaa90dad98f83d4bf336ceb0b5feb90a7af6e96c3d05e51e",
 }
 
+# One-user fixtures in multi mode: run_session(s, (v,)) for every class v.
+ONE_USER_MULTI_DIGESTS = {
+    ("five_class.json", 1):
+        "740a64076ce06a12ca4cbc74f9b9afddcf5b7e9b9ef0681a662fb32d4d7fd7eb",
+    ("six_class.json", 1):
+        "61d6399697c0cb21fe40b15fd5e7d7b355ba6a24a66e6d6c07c016c0d7f36cdb",
+    ("fsi_three_class.json", 1):
+        "386d634a6e4b4c6c27e7bc8bb24a7a0c56c5ade032e22b10cdd402f54cff6eab",
+    ("tiny_two_class.json", 1):
+        "30906a3a6071f93eac7f5df62c65dd8c90f14532f095eaab6b22a0af285d198f",
+}
+
 TINY_REPORT_DIGEST = "ed4a53ec09bd041410830e240137b142966cf1487680db095caf43b29d90c884"
 
 MONTE_CARLO_REPORT_DIGESTS = {
@@ -59,14 +73,15 @@ MONTE_CARLO_REPORT_DIGESTS = {
 }
 
 
-def session_digest(name: str, seed: int) -> str:
+def session_digest(name: str, seed: int, mode=None) -> str:
     loaded = load_fixture(name)
     s = loaded.scenario
     classes = range(1, s.class_count + 1)
-    if s.user_count == 1:
-        mode, demand_space = "single", classes
+    mode = mode or ("single" if s.user_count == 1 else "multi")
+    if mode == "single":
+        demand_space = classes
     else:
-        mode, demand_space = "multi", itertools.product(classes, repeat=s.user_count)
+        demand_space = itertools.product(classes, repeat=s.user_count)
     force = not validate_scenario(s, mode).ok
     digest = hashlib.sha256()
     for demands in demand_space:
@@ -89,6 +104,11 @@ def report_digest(name: str, mode: str, **kwargs) -> str:
 @pytest.mark.parametrize("name,seed", sorted(SESSION_DIGESTS))
 def test_session_bytes(name, seed):
     assert session_digest(name, seed) == SESSION_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", sorted(ONE_USER_MULTI_DIGESTS))
+def test_one_user_multi_session_bytes(name, seed):
+    assert session_digest(name, seed, "multi") == ONE_USER_MULTI_DIGESTS[name, seed]
 
 
 def test_tiny_report_bytes():

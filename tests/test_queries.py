@@ -20,8 +20,10 @@ from ppir import (
     generate_multi_user_plan,
     generate_single_user_plan,
     plan_from_pairs,
+    query_distribution,
     query_owner,
     random_store,
+    sample_query_distribution,
     sequential_class_map,
 )
 from ppir.analytics import _ReplayChooser
@@ -38,15 +40,15 @@ from ppir.queries import DeadEnd, RandomChooser
 class TestPublishedTranscripts:
     def test_five_class_identifiable_demand(self, five_class):
         plan = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2)
-        assert check_plan(five_class.scenario, 3, plan, "single").ok
+        assert check_plan(five_class.scenario, (3,), plan, "single").ok
 
     def test_five_class_unidentifiable_demand(self, five_class):
         plan = published_plan(FIVE_CLASS_DEMAND4_QUERIES, 2)
-        assert check_plan(five_class.scenario, 4, plan, "single").ok
+        assert check_plan(five_class.scenario, (4,), plan, "single").ok
 
     def test_six_class_unidentifiable_demand(self, six_class):
         plan = published_plan(SIX_CLASS_DEMAND4_QUERIES, 2)
-        assert check_plan(six_class.scenario, 4, plan, "single").ok
+        assert check_plan(six_class.scenario, (4,), plan, "single").ok
 
     def test_two_user_batches(self, two_user):
         s = two_user.scenario
@@ -58,19 +60,19 @@ class TestPublishedTranscripts:
         queries = [list(q) for q in FIVE_CLASS_DEMAND3_QUERIES]
         queries[1][1] = (2, 2)  # repeat class 2's first index
         plan = published_plan(queries, 2)
-        result = check_plan(five_class.scenario, 3, plan, "single")
+        result = check_plan(five_class.scenario, (3,), plan, "single")
         assert not result.ok
         assert "non_repetition" in {r.name for r in result.failed()}
 
     def test_query_missing_a_class_fails_shape(self, tiny):
-        result = check_plan(tiny.scenario, 1, plan_from_pairs([[(1, 1)]], 0), "single")
+        result = check_plan(tiny.scenario, (1,), plan_from_pairs([[(1, 1)]], 0), "single")
         assert not result.ok
         assert "query_shape" in {r.name for r in result.failed()}
 
     def test_wrong_demand_fails_designated_rule(self, five_class):
         # The demand-3 transcript has no admissible designated query for demand 1.
         plan = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2)
-        result = check_plan(five_class.scenario, 1, plan, "single")
+        result = check_plan(five_class.scenario, (1,), plan, "single")
         assert "designated_query" in {r.name for r in result.failed()}
 
 
@@ -82,7 +84,7 @@ class TestSingleUserGeneration:
                 for seed in range(10):
                     plan = generate_single_user_plan(s, v, seed=seed)
                     assert len(plan.queries) == s.query_count()
-                    assert check_plan(s, v, plan, "single").ok
+                    assert check_plan(s, (v,), plan, "single").ok
                     assert audit_non_repetition(plan).ok
 
     def test_determinism(self, five_class):
@@ -107,18 +109,21 @@ class TestSingleUserGeneration:
         si = s.users[0]
         for seed in range(20):
             plan = generate_single_user_plan(s, 2, seed=seed)
-            r = plan.secrets.designated_index
-            q = plan.queries[r - 1]
-            assert q.subclass_of(2) not in si.known_indices(2)
-            for i in (1, 3):
-                assert q.subclass_of(i) in si.known_indices(i)
+            rules = {r.name: r for r in check_plan(s, (2,), plan, "single").rules}
+            designated = rules["designated_query"]
+            assert designated.passed and designated.witnesses
+            for r in designated.witnesses:
+                beta = dict(plan.queries[r - 1].pairs)
+                assert beta[2] not in si.known_indices(2)
+                for i in (1, 3):
+                    assert beta[i] in si.known_indices(i)
 
     def test_unidentifiable_demand_covers_enough_fresh_indices(self, five_class):
         s = five_class.scenario
         si = s.users[0]
         for seed in range(20):
             plan = generate_single_user_plan(s, 5, seed=seed)
-            seen = {q.subclass_of(5) for q in plan.queries}
+            seen = {dict(q.pairs)[5] for q in plan.queries}
             # More distinct class-5 indices than the user holds there.
             assert len(seen) == s.query_count() > si.count(5)
 
@@ -205,7 +210,7 @@ class TestSingleUserReduction:
                 if v <= s.identifiable_count:
                     # Collaborative plans are strictly more structured than the
                     # single-user rules require, so they must pass them.
-                    assert check_plan(s, v, plan, "single").ok
+                    assert check_plan(s, (v,), plan, "single").ok
                 else:
                     # Same known-pair budget per query as the single-user rules,
                     # with a chosen (not rotating) fresh identifiable class.
@@ -214,9 +219,36 @@ class TestSingleUserReduction:
                         known = sum(
                             1
                             for i in range(1, s.identifiable_count + 1)
-                            if q.subclass_of(i) in si.known_indices(i)
+                            if dict(q.pairs)[i] in si.known_indices(i)
                         )
                         assert known >= s.identifiable_count - 1
+
+
+# Each entry takes (tiny_two_class, two_user_seven_class) and names a class or
+# a demand count the scenario does not have.
+WRONG_DEMANDS = {
+    "check_plan-single-class-7": lambda tiny, two: check_plan(
+        tiny, (7,), generate_single_user_plan(tiny, 1, seed=0), "single"
+    ),
+    "check_plan-multi-one-demand": lambda tiny, two: check_plan(
+        two, (1,), generate_multi_user_plan(two, (2, 3), seed=0), "multi"
+    ),
+    "check_plan-single-two-demands": lambda tiny, two: check_plan(
+        tiny, (1, 2), generate_single_user_plan(tiny, 1, seed=0), "single"
+    ),
+    "query_distribution-class-5": lambda tiny, two: query_distribution(tiny, (5,)),
+    "query_distribution-class-0": lambda tiny, two: query_distribution(tiny, (0,)),
+    "sample-multi-one-demand": lambda tiny, two: sample_query_distribution(
+        two, (1,), "multi", samples=3
+    ),
+    "generate_multi-class-8": lambda tiny, two: generate_multi_user_plan(two, (1, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_DEMANDS))
+def test_wrong_demands_refused(case, tiny, two_user):
+    with pytest.raises(OutOfRange):
+        WRONG_DEMANDS[case](tiny.scenario, two_user.scenario)
 
 
 class TestQueryOwner:
@@ -240,7 +272,7 @@ def test_non_repetition_property(data):
     seed = data.draw(st.integers(min_value=0, max_value=10**6), label="seed")
     plan = generate_single_user_plan(s, v, seed=seed)
     assert audit_non_repetition(plan).ok
-    assert check_plan(s, v, plan, "single").ok
+    assert check_plan(s, (v,), plan, "single").ok
 
 
 def test_plan_from_pairs_orders_classes():
