@@ -287,7 +287,7 @@ class PrivacyReport:
     failures: int
     pass_rate: Fraction
     witnesses: tuple
-    distribution: Optional[DistributionAudit]
+    distribution: DistributionAudit
 
 
 def _demand_space(s: Scenario, mode: str):
@@ -324,39 +324,36 @@ def privacy_report(
                     witnesses.append((demands, t, result.witnesses))
     pass_rate = Fraction(checks - failures, checks) if checks else Fraction(1)
 
-    distribution = None
-    if demand_space:
-        try:
-            dists = {
-                d: query_distribution(s, d, mode, limit=enum_limit)
-                for d in demand_space
-            }
-            method, samples = "enumeration", None
-        except TooLargeToEnumerate:
-            dists = {
-                d: sample_query_distribution(
-                    s,
-                    d,
-                    mode,
-                    samples=mc_samples,
-                    seed=base_seed + 7_919 * i,
-                )
-                for i, d in enumerate(demand_space)
-            }
-            method, samples = "monte-carlo", mc_samples
-        # Re-key every distribution once by a small int per distinct server
-        # view, shared by all demands, so each TV pair hashes ints rather than
-        # nested (class, subclass) tuples.
-        view_ids: dict = {}
+    try:
         dists = {
-            d: {view_ids.setdefault(view, len(view_ids)): p for view, p in dist.items()}
-            for d, dist in dists.items()
+            d: query_distribution(s, d, mode, limit=enum_limit)
+            for d in demand_space
         }
-        pairs = tuple(
-            (a, b, tv_distance(dists[a], dists[b]))
-            for a, b in itertools.combinations(demand_space, 2)
-        )
-        distribution = DistributionAudit(method, samples, pairs)
+        method, samples = "enumeration", None
+    except TooLargeToEnumerate:
+        dists = {
+            d: sample_query_distribution(
+                s,
+                d,
+                mode,
+                samples=mc_samples,
+                seed=base_seed + 7_919 * i,
+            )
+            for i, d in enumerate(demand_space)
+        }
+        method, samples = "monte-carlo", mc_samples
+    # Re-key every distribution once by a small int per distinct server
+    # view, shared by all demands, so each TV pair hashes ints rather than
+    # nested (class, subclass) tuples.
+    view_ids: dict = {}
+    dists = {
+        d: {view_ids.setdefault(view, len(view_ids)): p for view, p in dist.items()}
+        for d, dist in dists.items()
+    }
+    pairs = tuple(
+        (a, b, tv_distance(dists[a], dists[b]))
+        for a, b in itertools.combinations(demand_space, 2)
+    )
 
     return PrivacyReport(
         mode=mode,
@@ -366,5 +363,5 @@ def privacy_report(
         failures=failures,
         pass_rate=pass_rate,
         witnesses=tuple(witnesses),
-        distribution=distribution,
+        distribution=DistributionAudit(method, samples, pairs),
     )

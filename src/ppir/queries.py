@@ -231,6 +231,8 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
 
 def _check_demands(s: Scenario, demands: tuple, mode: str) -> None:
     """One demand per user in multi mode, exactly one in single mode, each an existing class."""
+    if mode not in ("single", "multi"):
+        raise ValueError(f"unknown mode {mode!r}")
     count = 1 if mode == "single" else s.user_count
     if len(demands) != count:
         raise OutOfRange(f"need {count} demands, got {len(demands)}")
@@ -373,7 +375,7 @@ def check_plan(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) -> Valid
     checked as ``plan_builder`` checks them.
     """
     _check_demands(s, demands, mode)
-    rules = _shape_rules(s, plan, mode)  # raises ValueError on an unknown mode
+    rules = _shape_rules(s, plan, mode)
     # Only plans of the right shape reach the mode rules, which read class i's
     # subclass index in a query as q.pairs[i - 1][1].
     if all(r.passed for r in rules):

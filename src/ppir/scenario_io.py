@@ -20,10 +20,16 @@ Scenario schema (all indices 1-based):
 
 Global message indices are assigned in listing order (class 1 first).
 "random" symbols expand deterministically from (seed, global index, symbol
-position); see scenario.random_symbol.  Trace and report files are emitted
-with sorted keys and a trailing newline, so identical inputs give
-byte-identical files.  Rates are serialized as exact fraction strings, never
-floats.
+position); see scenario.random_symbol.
+
+Trace, report, rates and validation documents all leave through dump_json in
+one canonical format, so identical inputs give byte-identical files: sorted
+keys, two-space indent, ", " and ": " separators, ASCII-escaped strings and a
+trailing newline.  These are the bytes the standard json module writes with
+sort_keys=True, indent=2 and separators=(",", ": "), plus "\\n".  Documents
+hold only dicts with str keys, lists, tuples, str, int, bool and None;
+anything else, a float included, raises TypeError.  Rates are serialized as
+exact fraction strings.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # the C escaper
 from typing import Optional
 
 from .analytics import ComparisonReport, PrivacyReport
@@ -168,7 +175,7 @@ def load_scenario(path) -> LoadedScenario:
 
 
 def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def trace_to_dict(trace: SessionTrace) -> dict:
@@ -236,7 +243,7 @@ def comparison_to_dict(report: ComparisonReport) -> dict:
 
 
 def privacy_to_dict(report: PrivacyReport) -> dict:
-    doc = {
+    return {
         "mode": report.mode,
         "runs_per_demand": report.runs,
         "demand_choices": [list(d) for d in report.demand_choices],
@@ -247,21 +254,73 @@ def privacy_to_dict(report: PrivacyReport) -> dict:
             {"demands": list(d), "trial": t, "repeats": [list(w) for w in ws]}
             for d, t, ws in report.witnesses
         ],
-    }
-    if report.distribution is None:
-        doc["distribution"] = None
-    else:
-        doc["distribution"] = {
+        "distribution": {
             "method": report.distribution.method,
             "samples": report.distribution.samples,
             "pairs": [
                 {"demands_a": list(a), "demands_b": list(b), "tv": _frac(tv)}
                 for a, b, tv in report.distribution.pairs
             ],
-        }
-    return doc
+        },
+    }
 
 
 def dump_json(doc: dict) -> str:
-    """Canonical serialization: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, ", " and ": "
+    separators, ASCII-escaped strings, trailing newline.
+
+    Accepts dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else (a float, a Fraction, a set, a non-str key) raises TypeError.
+    """
+    pieces: list[str] = []
+    _emit(doc, pieces.append, "\n")
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+# Module-level, not a closure: a closure that calls itself is a reference
+# cycle, which keeps every call's pieces alive until the cyclic GC runs.
+def _emit(value, append, newline: str) -> None:
+    """Append the pieces of ``value``; ``newline`` is "\\n" plus its indent."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return append("{}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"dict key {key!r} is not a str")
+            item = value[key]
+            item_kind = type(item)
+            if item_kind is str:
+                append(f"{sep}{_quote(key)}: {_quote(item)}")
+            elif item_kind is int:
+                append(f"{sep}{_quote(key)}: {int.__repr__(item)}")
+            else:
+                append(f"{sep}{_quote(key)}: ")
+                _emit(item, append, inner)
+            sep = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            return append("[]")
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            return append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _emit(item, append, inner)
+            sep = "," + inner
+        append(newline + "]")
+    elif kind is str:
+        append(_quote(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif value is None:
+        append("null")
+    elif kind is bool:
+        append("true" if value else "false")
+    else:
+        raise TypeError(f"{kind.__name__} is not a canonical JSON value")

@@ -3,13 +3,17 @@
 A speedup must not change a single output byte, so these digests pin the
 serialized sessions and three audit reports: one exact enumeration and two
 Monte Carlo estimates, one of whose TV values is 1/25 rather than the
-saturated "1" every pair of a larger fixture reports.  Each fixture digest covers every
-demand choice of that fixture at one seed: the traces' canonical JSON in
-demand order, or the error class name for a forced run that fails.  Fixtures
-that fail validation (two_user_three_class) run forced, which also exercises
-plan retries and recovery failures.  One-user fixtures are also pinned in
-multi mode (``ppir run --mode multi``), forced where that mode's validation
-refuses them (five_class).
+saturated "1" every pair of a larger fixture reports.  They also pin the
+other documents ``dump_json`` writes: ``ppir rates`` on every fixture that
+passes validation (a null, mixed string/int witness lists), one whole
+``ppir audit`` document, and validation reports with failing rules and tuple
+witnesses.  Each fixture digest covers every demand choice of that fixture at
+one seed: the traces' canonical JSON in demand order, or the error class name
+for a forced run that fails.  Fixtures that fail validation
+(two_user_three_class) run forced, which also exercises plan retries and
+recovery failures.  One-user fixtures are also pinned in multi mode (``ppir
+run --mode multi``), forced where that mode's validation refuses them
+(five_class).
 """
 
 import hashlib
@@ -19,8 +23,10 @@ import pytest
 
 from helpers import load_fixture
 from ppir import privacy_report, run_session, validate_scenario
+from ppir.cli import main
 from ppir.errors import PpirError
-from ppir.scenario_io import dump_json, privacy_to_dict, trace_to_dict
+from ppir.fixtures import fixture_path
+from ppir.scenario_io import dump_json, privacy_to_dict, trace_to_dict, validation_to_dict
 
 SESSION_DIGESTS = {
     ("five_class.json", 1):
@@ -72,6 +78,39 @@ MONTE_CARLO_REPORT_DIGESTS = {
         "8a8032cea13575380d7ff899777f15a5b6b90eec3be8812438e9816fd8ab2b82",
 }
 
+# ``ppir rates FIXTURE`` output; two_user_three_class fails validation (exit 3).
+RATES_DIGESTS = {
+    "five_class.json": "331aaf445897a42f9d54dc2cbe22e0e38eb93b93bdc9786f88f2573c487c5f0d",
+    "six_class.json": "2365af2f7940a9250e9e299d379e26a173e17310d3f4af792d014afa89611bc6",
+    "fsi_three_class.json": "edade895d2711b7a34d34b7eaac823604661be5499aaebc1c2efae31d6e39d8e",
+    "tiny_two_class.json": "73ed7d67eaa5f1e176a3f14bec648ac3affa4567d04a2d9a01f86c836e99dd1f",
+    "two_user_seven_class.json": "9654f166956dac852f4cb6e82a9c639a6db10197fac122b22d1e4e7acc5fc5be",
+}
+
+# ``ppir audit tiny_two_class.json --runs 2 --seed 3``, scenario_validation included.
+AUDIT_CLI_DIGEST = "fd77a76d5b2470494f4234bdcb180dc06505e81638013004eb053bd5d8e14add"
+
+# validation_to_dict(validate_scenario(...)): failing rules with empty witness
+# lists (two_user_three_class), and with tuple witnesses (five_class in multi mode).
+VALIDATION_DIGESTS = {
+    ("two_user_three_class.json", "single"):
+        "5ce1e950fed1a0b1542a2c7943636ad5729c83cddf262d4d21da99e5523abbba",
+    ("two_user_three_class.json", "multi"):
+        "6da7cbf03f6c026ee535968ed53c6c861c865452278cbf7ef64dde41d9336068",
+    ("five_class.json", "multi"):
+        "983e499117960c61d74026dc400e0e44531436bc9f06e68e8d0f584f4ab7282c",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digest(tmp_path, *argv) -> str:
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return sha256(out.read_bytes())
+
 
 def session_digest(name: str, seed: int, mode=None) -> str:
     loaded = load_fixture(name)
@@ -98,7 +137,7 @@ def session_digest(name: str, seed: int, mode=None) -> str:
 
 def report_digest(name: str, mode: str, **kwargs) -> str:
     report = privacy_report(load_fixture(name).scenario, mode, **kwargs)
-    return hashlib.sha256(dump_json(privacy_to_dict(report)).encode()).hexdigest()
+    return sha256(dump_json(privacy_to_dict(report)).encode())
 
 
 @pytest.mark.parametrize("name,seed", sorted(SESSION_DIGESTS))
@@ -121,3 +160,19 @@ def test_monte_carlo_report_bytes(name, mode, runs, enum_limit, mc_samples):
         name, mode, runs=runs, base_seed=3, enum_limit=enum_limit, mc_samples=mc_samples
     )
     assert digest == MONTE_CARLO_REPORT_DIGESTS[name, mode, runs, enum_limit, mc_samples]
+
+
+@pytest.mark.parametrize("name", sorted(RATES_DIGESTS))
+def test_rates_bytes(name, tmp_path):
+    assert cli_digest(tmp_path, "rates", str(fixture_path(name))) == RATES_DIGESTS[name]
+
+
+def test_audit_cli_bytes(tmp_path):
+    argv = ("audit", str(fixture_path("tiny_two_class.json")), "--runs", "2", "--seed", "3")
+    assert cli_digest(tmp_path, *argv) == AUDIT_CLI_DIGEST
+
+
+@pytest.mark.parametrize("name,mode", sorted(VALIDATION_DIGESTS))
+def test_validation_bytes(name, mode):
+    report = validate_scenario(load_fixture(name).scenario, mode)
+    assert sha256(dump_json(validation_to_dict(report)).encode()) == VALIDATION_DIGESTS[name, mode]

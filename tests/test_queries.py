@@ -20,6 +20,7 @@ from ppir import (
     generate_multi_user_plan,
     generate_single_user_plan,
     plan_from_pairs,
+    privacy_report,
     query_distribution,
     query_owner,
     random_store,
@@ -249,6 +250,26 @@ WRONG_DEMANDS = {
 def test_wrong_demands_refused(case, tiny, two_user):
     with pytest.raises(OutOfRange):
         WRONG_DEMANDS[case](tiny.scenario, two_user.scenario)
+
+
+# Every entry that starts from a demand check, given a mode that is neither
+# "single" nor "multi".
+UNKNOWN_MODE = {
+    "privacy_report": lambda tiny: privacy_report(tiny, "bogus", runs=2),
+    "query_distribution": lambda tiny: query_distribution(tiny, (1,), "bogus"),
+    "sample_query_distribution": lambda tiny: sample_query_distribution(
+        tiny, (1,), "bogus", samples=3
+    ),
+    "check_plan": lambda tiny: check_plan(
+        tiny, (1,), generate_single_user_plan(tiny, 1, seed=0), "bogus"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_MODE))
+def test_unknown_mode_refused(case, tiny):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        UNKNOWN_MODE[case](tiny.scenario)
 
 
 class TestQueryOwner:
