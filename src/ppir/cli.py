@@ -8,11 +8,12 @@ Subcommands:
     ppir rates    scenario.json [--out report.json]
     ppir selftest
 
-Exit codes: 0 success, 2 parse error or a bad --demand / --runs value, 3
-validation refused (``rates`` validates too; also when the plan search
-exhausted its retries, or ``rates`` met parameters that contradict an
-advantage condition), 4 recovery failure (a decoded message differs from the
-store, a user gains no new message, or the plan breaks a selection rule).
+Exit codes: 0 success, 2 parse error, a bad --demand / --runs value or an
+--out path that cannot be written, 3 validation refused (``rates`` validates
+too; also when the plan search exhausted its retries, or ``rates`` met
+parameters that contradict an advantage condition), 4 recovery failure (a
+decoded message differs from the store, a user gains no new message, or the
+plan breaks a selection rule).
 Identical inputs produce byte-identical output files.  ``run`` warns on
 stderr when the file's explicit generator does not fit the run's [n, k] and
 the default code is used instead.
@@ -60,12 +61,18 @@ EXIT_VALIDATION = 3
 EXIT_RECOVERY = 4
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
+def _emit(text: str, out_path) -> int:
+    """Write the document to ``out_path`` (stdout when unset); exit 2 when the path cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _infer_mode(args, user_count: int) -> str:
@@ -103,8 +110,7 @@ def cmd_run(args) -> int:
             f"[{trace.code_length},{trace.code_dimension}]; the default code was used",
             file=sys.stderr,
         )
-    _emit(dump_json(trace_to_dict(trace)), args.out)
-    return EXIT_OK
+    return _emit(dump_json(trace_to_dict(trace)), args.out)
 
 
 def cmd_audit(args) -> int:
@@ -125,8 +131,7 @@ def cmd_audit(args) -> int:
         "scenario_validation": validation_to_dict(validate_scenario(scenario, mode)),
         "privacy": privacy_to_dict(report),
     }
-    _emit(dump_json(doc), args.out)
-    return EXIT_OK
+    return _emit(dump_json(doc), args.out)
 
 
 def cmd_rates(args) -> int:
@@ -147,8 +152,7 @@ def cmd_rates(args) -> int:
             comparison_to_dict(comparisons[0]) if params.user_count == 1 else None
         ),
     }
-    _emit(dump_json(doc), args.out)
-    return EXIT_OK
+    return _emit(dump_json(doc), args.out)
 
 
 def cmd_selftest(_args) -> int:

@@ -1,7 +1,7 @@
 """Exact arithmetic over prime fields GF(q).
 
 Only prime orders are supported; the order is capped at 2**31 - 1 so that
-products of canonical representatives always fit in 64-bit intermediates.
+products of canonical representatives stay below 2**62.
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 from .errors import NonPrimeOrder, ZeroInverse
 
+# The cap bounds the slot width of the packed MDS codec: a sum of k < q products
+# below 2**62 stays below 2**93, inside one 128-bit slot of mds._combine.
+# Raising the cap means re-deriving that bound.
 MAX_ORDER = 2**31 - 1
 
 

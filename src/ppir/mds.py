@@ -11,7 +11,13 @@ The codec works on blocks of L symbol positions at once.  parity_block
 multiplies a k x L message block by the k x (n - k) parity columns only, and
 decode_block inverts the known columns once (cached) and applies that inverse
 to the k x L block of known rows.  encode and decode_from_positions are their
-L = 1 cases.
+L = 1 cases.  Both block functions run through _combine, which packs each row
+of L symbols into one int with a 128-bit slot per symbol (Kronecker
+substitution), so an output row costs k big-int multiply-adds at C speed and
+one reduction per symbol.  The slots never carry into each other because
+field.MAX_ORDER caps q at 2**31 - 1: a product of a coefficient and a symbol
+in [0, q) is below 2**62, and a sum of k of them below 2**(62 + k.bit_length()).
+Any int symbol is accepted and counts as its residue mod q.
 
 Codeword positions, like every index in this package, are 1-based.
 """
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -41,6 +49,9 @@ MDS_SAMPLE_COUNT = 2_000
 
 # Exhaustive minor check on construction is cheap up to this length.
 BUILD_CHECK_MAX_N = 12
+
+# array("Q") holds native-order words; packed ints are little-endian on every host.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -196,20 +207,48 @@ def decode_block(gen: Generator, positions, rows) -> tuple[tuple[int, ...], ...]
 def _combine(coefficients, rows, q: int) -> tuple[tuple[int, ...], ...]:
     """One output row per coefficient vector c: sum_i c[i] * rows[i] mod q.
 
-    Each output accumulates across all symbol positions at once and reduces
-    once at the end; zero coefficients are skipped.
+    Each input row is packed once into one int with a 128-bit slot per symbol
+    (_pack), so an output row is k big-int multiply-adds, skipping zero
+    coefficients, followed by one unpack and one reduction per symbol.
+    Slot l of the sum holds sum_i c[i] * rows[i][l] exactly: coefficients are
+    taken into [0, q) and packed symbols lie in [0, 2**64), so with
+    k < q <= 2**31 - 1 (field.MAX_ORDER) no slot reaches 2**126 and nothing
+    carries into the next one.  A slot is split into its low and high 64-bit words and reduced as
+    (hi * (2**64 mod q) + lo) mod q.
     """
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise LengthMismatch(f"rows of unequal length {sorted({len(row) for row in rows})}")
+    packed = [_pack(row, q) for row in rows]
+    wrap = (1 << 64) % q
     out = []
     for coeffs in coefficients:
-        acc = None
-        for c, row in zip(coeffs, rows):
+        acc = 0
+        for c, p in zip(coeffs, packed):
+            c %= q  # an unchecked Generator may hold entries outside [0, q)
             if c:
-                acc = [c * m for m in row] if acc is None else [a + c * m for a, m in zip(acc, row)]
-        out.append((0,) * width if acc is None else tuple([a % q for a in acc]))
+                acc += c * p
+        words = array("Q", acc.to_bytes(16 * width, "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        out.append(tuple([(hi * wrap + lo) % q for lo, hi in zip(words[::2], words[1::2])]))
     return tuple(out)
+
+
+def _pack(row, q: int) -> int:
+    """The row's symbols as one int, symbol l in bits [128 l, 128 l + 64).
+
+    Symbols outside [0, 2**64) are reduced mod q first, which leaves every sum
+    of _combine unchanged mod q.
+    """
+    words = array("Q", bytes(16 * len(row)))
+    try:
+        words[::2] = array("Q", row)
+    except OverflowError:
+        words[::2] = array("Q", [m % q for m in row])
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
 
 @lru_cache(maxsize=65536)

@@ -1,4 +1,5 @@
-"""Embedded golden checks: the worked code, its parities, and all rate numbers.
+"""Embedded golden checks: the worked code, its parities, the packed codec at
+its worst case, and all rate numbers.
 
 Everything asserted here is a constant baked into this module, so the selftest
 needs no files and catches a corrupted build of any layer it touches.
@@ -26,6 +27,17 @@ GOLDEN_CODEWORD_2 = (1, 7, 4, 1, 3, 0, 0, 7)
 GOLDEN_POSITIONS = (1, 2, 6, 7, 8)
 GOLDEN_VALUES = (0, 1, 10, 8, 10)
 
+# The packed codec at its worst case: q = 2**31 - 1, every message symbol
+# q - 1, k = 8 and L = 3, so a parity sum needs 65 bits and spans both words of
+# its slot.  The parity columns form the Cauchy matrix 1 / (i - 8 - j) (i < 8,
+# j < 3); the parities are sum_i G[i][8 + j] * (q - 1) mod q, computed symbol
+# by symbol with plain ints.
+WIDE_ORDER = 2**31 - 1
+WIDE_K = 8
+WIDE_MESSAGE = ((WIDE_ORDER - 1,) * 3,) * WIDE_K
+WIDE_PARITY = ((1357516451,) * 3, (1118907156,) * 3, (1548403885,) * 3)
+WIDE_POSITIONS = (4, 5, 6, 7, 8, 9, 10, 11)
+
 # Rate parameters of the three worked scenarios.
 FIVE_CLASS = analytics.RateParams(5, 3, (7, 6, 8, 9, 9), ((3, 4, 5, 2, 3),))
 SIX_CLASS = analytics.RateParams(6, 3, (9, 9, 10, 6, 7, 8), ((4, 4, 3, 2, 2, 2),))
@@ -37,6 +49,15 @@ FULLY_IDENTIFIABLE = analytics.RateParams(3, 3, (3, 3, 3), ((1, 1, 1),))
 
 def _generator() -> mds.Generator:
     return mds.generator_from_explicit([list(r) for r in GOLDEN_MATRIX], PrimeField(11))
+
+
+def _wide_generator() -> mds.Generator:
+    field = PrimeField(WIDE_ORDER)
+    rows = [
+        [1 if j == i else 0 for j in range(WIDE_K)] + [field.inv(i - WIDE_K - j) for j in range(3)]
+        for i in range(WIDE_K)
+    ]
+    return mds.generator_from_explicit(rows, field)
 
 
 def _check_generator_accepted():
@@ -65,6 +86,16 @@ def _check_decode_parity_tail():
     positions = (4, 5, 6, 7, 8)
     values = tuple(GOLDEN_CODEWORD_2[p - 1] for p in positions)
     assert mds.decode_from_positions(_generator(), positions, values) == GOLDEN_MESSAGE_2
+
+
+def _check_wide_parity_block():
+    assert mds.parity_block(_wide_generator(), WIDE_MESSAGE) == WIDE_PARITY
+
+
+def _check_wide_decode_block():
+    codeword = WIDE_MESSAGE + WIDE_PARITY
+    known = [codeword[p - 1] for p in WIDE_POSITIONS]
+    assert mds.decode_block(_wide_generator(), WIDE_POSITIONS, known) == WIDE_MESSAGE
 
 
 def _check_five_class_rate():
@@ -107,6 +138,8 @@ CHECKS = (
     ("encode_second_row", _check_encode_second_row),
     ("decode_mixed_positions", _check_decode_mixed_positions),
     ("decode_parity_tail", _check_decode_parity_tail),
+    ("wide_parity_block", _check_wide_parity_block),
+    ("wide_decode_block", _check_wide_decode_block),
     ("five_class_rate", _check_five_class_rate),
     ("five_class_baseline", _check_five_class_baseline),
     ("six_class_rate", _check_six_class_rate),

@@ -281,6 +281,26 @@ class TestSelftest:
         assert any(l.startswith("FAIL encode_first_row") for l in lines)
 
 
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run", fixture("five_class.json"), "--demand", "1"),
+        ("audit", fixture("tiny_two_class.json"), "--runs", "2"),
+        ("rates", fixture("five_class.json")),
+    ],
+    ids=["run", "audit", "rates"],
+)
+def test_unwritable_out_exits_2(tmp_path, command, target):
+    out = tmp_path / "missing" / "t.json" if target == "missing_directory" else tmp_path
+    proc = run_cli(*command, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_stdout_default(tmp_path):
     proc = run_cli("run", fixture("fsi_three_class.json"), "--demand", "1", "--seed", "2")
     assert proc.returncode == 0

@@ -14,6 +14,7 @@ from ppir.errors import (
 )
 from ppir.field import MAX_ORDER, PrimeField
 from ppir.mds import (
+    Generator,
     build_systematic_generator,
     decode_block,
     decode_from_positions,
@@ -232,3 +233,118 @@ def test_block_decoder_rejects_bad_positions_like_symbolwise(case, data):
     with pytest.raises(LengthMismatch) as err:
         decode_block(gen, positions, message[:-1])
     assert str(err.value) == f"need k={k} values, got {k - 1}"
+
+
+def _reference_parity(gen, rows):
+    """sum_i G[i][k + p] * rows[i][l] mod q, one symbol at a time with plain ints."""
+    k, q = gen.k, gen.field.order
+    return tuple(
+        tuple(sum(gen.rows[i][k + p] * rows[i][ell] for i in range(k)) % q for ell in range(len(rows[0])))
+        for p in range(gen.n - k)
+    )
+
+
+def _parity_generator(k, columns, q):
+    """[I | columns] as a Generator, unchecked: parity_block needs no MDS property."""
+    return Generator(
+        PrimeField(q),
+        tuple(tuple([1 if j == i else 0 for j in range(k)] + [col[i] for col in columns]) for i in range(k)),
+    )
+
+
+ORACLE_LENGTHS = [1, 2, 7, 513]
+
+
+class TestOracle:
+    """parity_block and decode_block against the formula itself, not against each other."""
+
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
+    @pytest.mark.parametrize("k", [1, 2, 8, 40])
+    def test_worst_case_parity(self, k, length):
+        # Every coefficient and symbol is q - 1: a slot sum of k (q - 1)^2 needs
+        # more than 64 bits from k = 5 on.
+        q = MAX_ORDER
+        gen = _parity_generator(k, [[q - 1] * k] * 3, q)
+        message = [(q - 1,) * length] * k
+        assert parity_block(gen, message) == _reference_parity(gen, message)
+
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
+    @pytest.mark.parametrize("k", [1, 2, 8, 40])
+    def test_worst_case_decode(self, k, length):
+        # One all-(q - 1) parity column keeps [I | c] MDS; dropping position 1
+        # gives an inverse of entries 1 and q - 1, applied to rows of q - 1.
+        q = MAX_ORDER
+        gen = _parity_generator(k, [[q - 1] * k], q)
+        positions = list(range(2, k + 2))
+        known = [(q - 1,) * length] * k
+        decoded = decode_block(gen, positions, known)
+        codeword = list(decoded) + list(_reference_parity(gen, decoded))
+        assert [codeword[p - 1] for p in positions] == known
+        assert all(0 <= v < q for row in decoded for v in row)
+
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
+    def test_random_blocks(self, length):
+        rng = random.Random(length)
+        q = MAX_ORDER
+        gen = _cauchy_generator(12, 7, PrimeField(q), rng)
+        message = [tuple(rng.randrange(q) for _ in range(length)) for _ in range(gen.k)]
+        parity = parity_block(gen, message)
+        assert parity == _reference_parity(gen, message)
+        codeword = message + list(parity)
+        positions = rng.sample(range(1, gen.n + 1), gen.k)
+        assert decode_block(gen, positions, [codeword[p - 1] for p in positions]) == tuple(message)
+
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
+    def test_zero_coefficients(self, length):
+        q = MAX_ORDER
+        columns = [[0] * 6, [q - 1, 0, 0, q - 1, 0, 1], [0, 0, 0, 0, 0, q - 1]]
+        gen = _parity_generator(6, columns, q)
+        rng = random.Random(length)
+        message = [tuple(rng.choice((0, 1, q - 1)) for _ in range(length)) for _ in range(6)]
+        parity = parity_block(gen, message)
+        assert parity == _reference_parity(gen, message)
+        assert parity[0] == (0,) * length
+
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
+    def test_all_zero_block(self, length):
+        gen = build_systematic_generator(9, 5, PrimeField(MAX_ORDER))
+        zeros = [(0,) * length] * 5
+        assert parity_block(gen, zeros) == ((0,) * length,) * 4
+        assert decode_block(gen, [9, 2, 7, 5, 6], zeros) == tuple(zeros)
+
+
+class TestAnyIntSymbol:
+    """Every int symbol counts as its residue mod q; none raises a bare OverflowError."""
+
+    @pytest.mark.parametrize("symbol", [-11, -1, -(2**70), 11, 2**64, 2**64 + 3, 2**100])
+    def test_encode_reduces(self, golden, symbol):
+        message = (symbol, 1, 9, 6, 8)
+        assert encode(golden, message) == encode(golden, (symbol % 11, 1, 9, 6, 8))
+
+    def test_encode_published_example(self, golden):
+        assert encode(golden, (-11, 12, 9, 6, 8)) == GOLDEN_CODEWORD_1
+
+    @pytest.mark.parametrize("symbol", [-11, -1, 11, 2**64, 2**100])
+    def test_decode_from_positions_reduces(self, golden, symbol):
+        values = (symbol, 1, 10, 8, 10)
+        expected = decode_from_positions(golden, (1, 2, 6, 7, 8), (symbol % 11, 1, 10, 8, 10))
+        assert decode_from_positions(golden, (1, 2, 6, 7, 8), values) == expected
+
+    @pytest.mark.parametrize("symbol", [-1, -(2**64), MAX_ORDER, 2**64 - 1, 2**64, 2**64 + 5, 2**127])
+    def test_block_codec_takes_residues(self, symbol):
+        q = MAX_ORDER
+        gen = _parity_generator(4, [[q - 1] * 4, [1, 2, 3, q - 2]], q)
+        message = [(symbol, 5, q - 1), (q - 1, symbol, 0), (symbol, symbol, symbol), (7, 8, 9)]
+        reduced = [tuple(v % q for v in row) for row in message]
+        assert parity_block(gen, message) == _reference_parity(gen, reduced)
+        positions = [5, 2, 3, 4]
+        decoded = decode_block(gen, positions, message)
+        assert decoded == decode_block(gen, positions, reduced)
+        assert all(0 <= v < q for row in decoded for v in row)
+
+    def test_unreduced_generator_entries(self):
+        # Generator itself checks nothing; its entries count as their residues too.
+        q = 11
+        gen = _parity_generator(3, [[-1, 12, 2**64], [-(2**70), 0, 2**127]], q)
+        message = [(3, 0, 10), (q - 1, 1, 2), (7, 7, 7)]
+        assert parity_block(gen, message) == _reference_parity(gen, message)
