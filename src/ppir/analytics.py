@@ -117,8 +117,6 @@ class ConditionFlag:
 class ComparisonReport:
     rate_isi: Fraction
     rate_usi: Fraction
-    rate_multi: Fraction
-    rate_naive_multi: Fraction
     flags: dict
 
 
@@ -182,7 +180,7 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
     for name, flag in flags.items():
         if flag.status == "holds" and r_isi < r_usi:
             raise ConditionsInconsistent(f"{name} holds but the rate inequality fails: {r_isi} < {r_usi}")
-    return ComparisonReport(r_isi, r_usi, rate_multi(p), rate_naive_multi(p), flags)
+    return ComparisonReport(r_isi, r_usi, flags)
 
 
 class _ReplayChooser(Chooser):

@@ -24,13 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analytics import (
-    RateParams,
-    comparison_conditions,
-    privacy_report,
-    rate_multi,
-    rate_naive_multi,
-)
+from .analytics import RateParams, comparison_conditions, privacy_report
 from .errors import (
     AssumptionViolated,
     ConditionsInconsistent,
@@ -141,15 +135,12 @@ def cmd_rates(args) -> int:
     if not validation.ok:
         raise AssumptionViolated(validation)
     params = RateParams.from_scenario(scenario)
-    comparisons = [
-        comparison_conditions(params.single_user(u))
-        for u in range(1, params.user_count + 1)
-    ]
     doc = {
         "format": REPORT_FORMAT,
-        "rates": rates_to_dict(comparisons, rate_multi(params), rate_naive_multi(params)),
+        "rates": rates_to_dict(params),
+        # The advantage conditions compare one-user rates; they say nothing of a collaborative run.
         "comparison_conditions": (
-            comparison_to_dict(comparisons[0]) if params.user_count == 1 else None
+            comparison_to_dict(comparison_conditions(params)) if params.user_count == 1 else None
         ),
     }
     return _emit(dump_json(doc), args.out)

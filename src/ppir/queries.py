@@ -42,7 +42,7 @@ from .errors import (
     OutOfRange,
     PartitionInfeasible,
 )
-from .scenario import RuleResult, Scenario, ValidationReport, validate_scenario
+from .scenario import RuleResult, Scenario, ValidationReport, helpers_split_evenly, validate_scenario
 
 MAX_PLAN_ATTEMPTS = 1000
 
@@ -251,7 +251,7 @@ def plan_builder(s: Scenario, demands: tuple, mode: str):
     if mode == "single":
         v = demands[0]
         return lambda chooser: build_single_plan(s, v, chooser)
-    if (s.identifiable_count - 1) % s.user_count != 0:
+    if not helpers_split_evenly(s.identifiable_count, s.user_count):
         raise PartitionInfeasible(
             f"{s.identifiable_count - 1} helper classes cannot be split evenly "
             f"across {s.user_count} users"

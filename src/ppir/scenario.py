@@ -164,6 +164,12 @@ def helper_budget(identifiable_count: int, user_count: int) -> int:
     return ceil((identifiable_count - 1) / user_count)
 
 
+def helpers_split_evenly(identifiable_count: int, user_count: int) -> bool:
+    """True iff the identifiable_count - 1 helper classes of a collaborative query
+    split into one equal block per user."""
+    return (identifiable_count - 1) % user_count == 0
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete problem instance: store, partition, per-user side information."""
@@ -282,7 +288,13 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
         headroom_need = ceil((kun + 1) / eta)
         headroom_classes = gamma
     else:
-        rules.append(RuleResult("user_count", s.user_count >= 1, "need at least 1 user"))
+        rules.append(
+            RuleResult(
+                "helper_partition",
+                helpers_split_evenly(eta, s.user_count),
+                f"{eta - 1} helper classes must split evenly across {s.user_count} users",
+            )
+        )
         users = s.users
         rules.append(
             RuleResult(

@@ -40,7 +40,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper
 from typing import Optional
 
-from .analytics import ComparisonReport, PrivacyReport
+from .analytics import (
+    ComparisonReport,
+    PrivacyReport,
+    RateParams,
+    rate_isi,
+    rate_multi,
+    rate_naive_multi,
+    rate_usi,
+)
 from .errors import MalformedScenario, PpirError
 from .exchange import SessionTrace
 from .field import PrimeField
@@ -225,14 +233,15 @@ def validation_to_dict(report: ValidationReport) -> dict:
     }
 
 
-def rates_to_dict(comparisons: list[ComparisonReport], multi: Fraction, naive: Fraction) -> dict:
-    doc = {
-        "identified": [_frac(c.rate_isi) for c in comparisons],
-        "unidentified_baseline": [_frac(c.rate_usi) for c in comparisons],
-        "multi_user": _frac(multi),
-        "naive_multi_user": _frac(naive),
+def rates_to_dict(params: RateParams) -> dict:
+    """Each user's one-user rates, then the collaborative and naive rates of all users."""
+    users = [params.single_user(u) for u in range(1, params.user_count + 1)]
+    return {
+        "identified": [_frac(rate_isi(p)) for p in users],
+        "unidentified_baseline": [_frac(rate_usi(p)) for p in users],
+        "multi_user": _frac(rate_multi(params)),
+        "naive_multi_user": _frac(rate_naive_multi(params)),
     }
-    return doc
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:

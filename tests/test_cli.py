@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ppir import load_scenario, validate_scenario
 from ppir.fixtures import fixture_path
 from ppir.selftest import CHECKS, run_selftest
 
@@ -16,6 +17,21 @@ def run_cli(*args):
 
 def fixture(name):
     return str(fixture_path(name))
+
+
+def write_scenario(tmp_path, sizes, eta, side_information):
+    """A q = 101, L = 2 scenario of all-random classes; returns its path."""
+    doc = {
+        "classes": [["random"] * size for size in sizes],
+        "eta": eta,
+        "field_order": 101,
+        "seed": 0,
+        "symbols_per_message": 2,
+        "users": [{"side_information": si} for si in side_information],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestRun:
@@ -228,6 +244,31 @@ class TestRates:
         assert proc.stderr.splitlines() == ["validation refused: scenario assumptions not met: query_budget"]
         assert proc.stdout == ""
         assert not out.exists()
+
+    def test_uneven_helper_partition_exits_3(self, tmp_path):
+        # One helper class (eta = 2) cannot split across two users, so ``run``
+        # and ``audit`` refuse the scenario; validation and ``rates`` must too.
+        path = write_scenario(
+            tmp_path, (6, 6, 6), 2, [[[1, 2, 3], [1, 2, 3], [1]], [[4, 5, 6], [4, 5, 6], [2]]]
+        )
+        report = validate_scenario(load_scenario(path).scenario, "multi")
+        assert [r.name for r in report.failed()] == ["helper_partition"]
+        proc = run_cli("rates", path)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["validation refused: scenario assumptions not met: helper_partition"]
+
+    def test_collaborative_users_not_judged_by_one_user_conditions(self, tmp_path):
+        # Each user alone would do worse than the all-unidentifiable baseline
+        # (1/10 < 1/4); that contradicts no advantage condition of a two-user run.
+        path = write_scenario(
+            tmp_path, (8, 5), 1, [[[1, 2, 3, 4, 5], [1, 2, 3, 4]], [[4, 5, 6, 7, 8], [2, 3, 4, 5]]]
+        )
+        out = tmp_path / "rates.json"
+        proc = run_cli("rates", path, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["rates"]["identified"] == ["1/10", "1/10"]
+        assert doc["comparison_conditions"] is None
 
 
 class TestAudit:

@@ -96,9 +96,9 @@ VALIDATION_DIGESTS = {
     ("two_user_three_class.json", "single"):
         "5ce1e950fed1a0b1542a2c7943636ad5729c83cddf262d4d21da99e5523abbba",
     ("two_user_three_class.json", "multi"):
-        "6da7cbf03f6c026ee535968ed53c6c861c865452278cbf7ef64dde41d9336068",
+        "6a37195192b1e3f08db7447cf544d4887ef41905d889a655313197b45cecd398",
     ("five_class.json", "multi"):
-        "983e499117960c61d74026dc400e0e44531436bc9f06e68e8d0f584f4ab7282c",
+        "566e6b759f7c397480d01bd86e9e4a0261dbbd25f277f5418247997fc83a2af1",
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,24 @@ class TestConstruction:
     def test_bad_dimensions(self, n, k):
         with pytest.raises(BadDimensions):
             build_systematic_generator(n, k, PrimeField(11))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 101, MAX_ORDER])
+    def test_default_code_is_reed_solomon_on_0_to_n_minus_1(self, q):
+        # Row i must be the Lagrange basis polynomial l_i(x) = prod_{j != i} (x - j) / (i - j)
+        # over the systematic points 0..k-1, evaluated at x = 0..n-1.
+        field = PrimeField(q)
+        for n in range(2, min(q, 16) + 1):
+            for k in range(1, n):
+                expected = tuple(
+                    tuple(
+                        prod(x - j for j in range(k) if j != i)
+                        * pow(prod(i - j for j in range(k) if j != i), -1, q)
+                        % q
+                        for x in range(n)
+                    )
+                    for i in range(k)
+                )
+                assert build_systematic_generator(n, k, field).rows == expected, (n, k)
 
     def test_sampled_minor_path_for_large_codes(self):
         # C(40, 20) is far beyond the exhaustive limit; the sampled check must
