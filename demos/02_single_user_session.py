@@ -13,8 +13,8 @@ loaded = load_scenario(str(fixture_path("five_class.json")))
 scenario = loaded.scenario
 print(f"classes: {scenario.class_map.sizes}, identifiable: first {scenario.identifiable_count}")
 print(f"side-information counts per class: {scenario.users[0].counts}")
-print(f"largest unidentifiable count: {scenario.max_unidentified_count()} "
-      f"-> {scenario.query_count()} queries per plan")
+print(f"largest unidentifiable count: {scenario.params.max_unidentified_count} "
+      f"-> {scenario.params.query_count} queries per plan")
 
 report = validate_scenario(scenario, "single")
 print(f"assumptions: {'all hold' if report.ok else report.failed()}")

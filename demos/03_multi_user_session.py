@@ -7,7 +7,7 @@ a [12, 7] code serves both demands at rate 1/20 (independent runs of the
 one-user scheme would only reach 1/24).
 """
 
-from ppir import RateParams, load_scenario, rate_multi, rate_naive_multi, run_session
+from ppir import load_scenario, rate_multi, rate_naive_multi, run_session
 from ppir.fixtures import fixture_path
 
 loaded = load_scenario(str(fixture_path("two_user_seven_class.json")))
@@ -16,7 +16,7 @@ print(f"{scenario.user_count} users, classes {scenario.class_map.sizes}, "
       f"identifiable: first {scenario.identifiable_count}")
 for u, si in enumerate(scenario.users, start=1):
     print(f"  user {u} side-information counts: {si.counts}")
-print(f"known-pair budget per user per query: {scenario.per_user_known_budget()}")
+print(f"known-pair budget per user per query: {scenario.params.per_user_known_budget}")
 
 trace = run_session(scenario, (2, 3), seed=4)
 disclosed, queries = trace.plan_view
@@ -29,6 +29,6 @@ for user in trace.users:
     print(f"user {user.user} (wants class {user.desired_class}): decoded every query, "
           f"new messages {fresh}")
 
-params = RateParams.from_scenario(scenario)
+params = scenario.params
 print(f"\nachieved rate {trace.rate} (closed form {rate_multi(params)}); "
       f"naive per-user runs would give {rate_naive_multi(params)}")

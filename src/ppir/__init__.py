@@ -11,7 +11,6 @@ rate properties of every run with exact arithmetic.
 from .analytics import (
     ComparisonReport,
     PrivacyReport,
-    RateParams,
     audit_non_repetition,
     comparison_conditions,
     privacy_report,
@@ -53,6 +52,7 @@ from .queries import (
 from .scenario import (
     ClassMap,
     MessageStore,
+    RateParams,
     Scenario,
     SideInformation,
     ValidationReport,

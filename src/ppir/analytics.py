@@ -1,11 +1,13 @@
 """Closed-form rates, advantage predicates, and privacy audits.
 
-All rates are exact rationals; no floating point enters any formula.  The
-distribution oracle enumerates every random choice the plan builders can make,
-with uniform weight per choice node, and reports the exact probability of each
-server-visible plan projection.  Dead-end paths (empty pick sets) carry their
-weight into a rejected mass and the surviving projections are renormalised,
-which is exactly the distribution of the retrying generators.
+All rates are exact rationals and every ceiling an integer one; no floating
+point enters any formula.  The formulas read :class:`RateParams`, defined in
+:mod:`ppir.scenario` and re-exported here.  The distribution oracle enumerates
+every random choice the plan builders can make, with uniform weight per choice
+node, and reports the exact probability of each server-visible plan
+projection.  Dead-end paths (empty pick sets) carry their weight into a
+rejected mass and the surviving projections are renormalised, which is exactly
+the distribution of the retrying generators.
 
 Indistinguishability across demands is reported as total-variation distance,
 computed in integers over the lcm of each pair's denominators, with the
@@ -21,10 +23,10 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm, prod
+from math import lcm, prod
 from typing import Optional
 
-from .errors import ConditionsInconsistent, TooLargeToEnumerate
+from .errors import ConditionsInconsistent, PartitionInfeasible, TooLargeToEnumerate
 from .queries import (
     Chooser,
     DeadEnd,
@@ -34,48 +36,9 @@ from .queries import (
     audit_non_repetition,
     plan_builder,
 )
-from .scenario import Scenario, helper_budget, kmax
+from .scenario import RateParams, Scenario
 
 ENUMERATION_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True)
-class RateParams:
-    """Everything the rate formulas need, per user."""
-
-    class_count: int
-    identifiable_count: int
-    class_sizes: tuple[int, ...]
-    si_counts: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_scenario(cls, s: Scenario) -> "RateParams":
-        return cls(
-            class_count=s.class_count,
-            identifiable_count=s.identifiable_count,
-            class_sizes=s.class_map.sizes,
-            si_counts=tuple(si.counts for si in s.users),
-        )
-
-    @property
-    def user_count(self) -> int:
-        return len(self.si_counts)
-
-    @property
-    def max_unidentified_count(self) -> int:
-        return kmax(self.si_counts, self.identifiable_count)
-
-    @property
-    def per_user_known_budget(self) -> int:
-        return helper_budget(self.identifiable_count, self.user_count)
-
-    def single_user(self, u: int) -> "RateParams":
-        return RateParams(
-            self.class_count,
-            self.identifiable_count,
-            self.class_sizes,
-            (self.si_counts[u - 1],),
-        )
 
 
 def rate_isi(p: RateParams) -> Fraction:
@@ -94,7 +57,13 @@ def rate_usi(p: RateParams) -> Fraction:
 
 
 def rate_multi(p: RateParams) -> Fraction:
-    """Achieved rate of the collaborative scheme (reduces to rate_isi at one user)."""
+    """Achieved rate of the collaborative scheme (reduces to rate_isi at one user);
+    raises PartitionInfeasible when no plan exists because the helpers split unevenly."""
+    if not p.helpers_split_evenly:
+        raise PartitionInfeasible(
+            f"{p.identifiable_count - 1} helper classes cannot be split evenly "
+            f"across {p.user_count} users"
+        )
     kun = p.max_unidentified_count
     return Fraction(1, (kun + 1) * (p.class_count - p.per_user_known_budget))
 
@@ -161,7 +130,8 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
         dense_bad = tuple(
             i + 1 for i in range(gamma) if counts[i] + 1 < mu - counts[i]
         )
-        threshold = k + ceil((gamma - eta + 1) * (kun + 1) / gamma)
+        spread = (gamma - eta + 1) * (kun + 1)
+        threshold = k - (-spread // gamma)
         ok = not dense_bad and mu >= threshold
         flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag(
             "holds" if ok else "fails", dense_bad

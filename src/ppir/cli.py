@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analytics import RateParams, comparison_conditions, privacy_report
+from .analytics import comparison_conditions, privacy_report
 from .errors import (
     AssumptionViolated,
     ConditionsInconsistent,
@@ -134,7 +134,7 @@ def cmd_rates(args) -> int:
     validation = validate_scenario(scenario, _infer_mode(args, scenario.user_count))
     if not validation.ok:
         raise AssumptionViolated(validation)
-    params = RateParams.from_scenario(scenario)
+    params = scenario.params
     doc = {
         "format": REPORT_FORMAT,
         "rates": rates_to_dict(params),

@@ -8,15 +8,18 @@ signature to the store, the bare query pairs, the disclosed code-dimension
 hint, and the generator: neither demands nor side information can flow in.
 
 A client combines the parity rows with the side-information messages it can
-actually place (identifiable classes only: holding a message from an
-unidentifiable class does not reveal which queried pair it answers) and
-erasure-decodes the whole message block, with one column inverse per query,
-whenever enough coordinates are known.  Queries that fall short are skipped,
-which is the expected outcome for non-designated queries when the desired
-class is identifiable.  Every plan is checked against the scheme's selection
+actually place and erasure-decodes the whole message block, with one column
+inverse per query, whenever enough coordinates are known.  Queries that fall
+short are skipped, which is the expected outcome for non-designated queries
+when the desired class is identifiable.  Every plan is checked against the scheme's selection
 rules before the server sees it, and every decoded message is compared with
 the store, so a bad plan or a wrong answer ends the session with
 RecoveryFailed instead of a wrong trace.
+
+What a user can place is one (class, subclass) -> symbols dict, built once per
+session through ``known_indices`` and so over identifiable classes only:
+holding a message of an unidentifiable class does not say which queried pair
+it answers.  ``decode_answer`` reads nothing else of the user.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 from .errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
 from .mds import Generator, build_systematic_generator, decode_block, parity_block
 from .queries import Query, check_plan, generate_multi_user_plan, generate_single_user_plan
-from .scenario import ClassMap, MessageStore, Scenario, SideInformation
+from .scenario import ClassMap, MessageStore, Scenario
 
 
 @dataclass(frozen=True)
@@ -84,38 +87,24 @@ def answer_query(
     return Answer(query.index, parity_block(generator, rows))
 
 
-def decode_answer(
-    query: Query,
-    answer: Answer,
-    side_info: SideInformation,
-    si_contents: dict,
-    class_map: ClassMap,
-    generator: Generator,
-) -> dict:
+def decode_answer(query: Query, answer: Answer, placeable: dict, generator: Generator) -> dict:
     """All queried messages, recovered from known coordinates plus parities.
 
-    ``si_contents`` maps global message indices the user holds to their
-    symbols.  Returns {(class, subclass): symbols} for every queried pair.
-    Raises InsufficientKnowns when known systematic positions plus parity rows
-    fall short of the code dimension.
+    ``placeable`` maps each (class, subclass) pair the user can place (its
+    side information in identifiable classes) to that message's symbols.
+    Returns {(class, subclass): symbols} for every queried pair.  Raises
+    InsufficientKnowns when known systematic positions plus parity rows fall
+    short of the code dimension.
     """
     gamma = generator.k
-    known_positions = []
-    known_globals = {}
-    for i, beta in query.pairs:
-        if i <= side_info.identifiable_count and beta in side_info.known_indices(i):
-            f = class_map.pair_to_global(i, beta)
-            if f in si_contents:
-                known_positions.append(i)
-                known_globals[i] = si_contents[f]
+    # Query pairs run one per class in ascending class order, so class i is systematic position i.
+    known = {pair[0]: placeable[pair] for pair in query.pairs if pair in placeable}
     parity_count = generator.n - gamma
-    if len(known_positions) + parity_count < gamma:
-        raise InsufficientKnowns(
-            f"{len(known_positions)} known positions + {parity_count} parities < {gamma}"
-        )
-    positions = known_positions[:gamma]
+    if len(known) + parity_count < gamma:
+        raise InsufficientKnowns(f"{len(known)} known positions + {parity_count} parities < {gamma}")
+    positions = list(known)[:gamma]
     positions += list(range(gamma + 1, gamma + 1 + (gamma - len(positions))))
-    rows = [known_globals[p] if p <= gamma else answer.parities[p - gamma - 1] for p in positions]
+    rows = [known[p] if p <= gamma else answer.parities[p - gamma - 1] for p in positions]
     messages = decode_block(generator, positions, rows)
     return {pair: messages[idx] for idx, pair in enumerate(query.pairs)}
 
@@ -123,7 +112,7 @@ def decode_answer(
 def session_generator(s: Scenario, mode: str, explicit: Optional[Generator] = None) -> Generator:
     """The session's code: a supplied explicit generator when its shape fits, else the default construction."""
     gamma = s.class_count
-    n = s.code_length(mode)
+    n = s.params.code_length(mode)
     if explicit is not None and explicit.k == gamma and explicit.n == n:
         return explicit
     return build_systematic_generator(n, gamma, s.store.field)
@@ -168,19 +157,20 @@ def run_session(
 
     users = []
     for u, si in enumerate(s.users, start=1):
-        contents = {
-            s.class_map.pair_to_global(i, beta): s.store.symbols(s.class_map.pair_to_global(i, beta))
-            for i in range(1, s.class_count + 1)
-            for beta in si.oracle_indices(i)
+        placeable = {
+            (i, beta): s.store.symbols(s.class_map.pair_to_global(i, beta))
+            for i in range(1, s.identifiable_count + 1)
+            for beta in si.known_indices(i)
         }
         desired = demand_tuple[u - 1] if mode == "multi" else demand_tuple[0]
+        held = si.oracle_indices(desired)
         decoded_queries = []
         decoded = []
         new = []
         witness = ()
         for q, a in zip(plan.queries, answers):
             try:
-                messages = decode_answer(q, a, si, contents, s.class_map, gen)
+                messages = decode_answer(q, a, placeable, gen)
             except InsufficientKnowns:
                 continue
             decoded_queries.append(q.index)
@@ -191,7 +181,7 @@ def run_session(
                         f"user {u} decoded message {f} from query {q.index}, and it differs from the store"
                     )
                 decoded.append((i, beta, f))
-                if i == desired and f not in contents:
+                if i == desired and beta not in held:
                     if not new:
                         witness = symbols
                     new.append((i, beta, f))

@@ -1,9 +1,9 @@
 """Query-plan generation for the identified-side-information retrieval scheme.
 
-A plan is a batch of ``max_unidentified_count + 1`` queries, each naming one
-subclass index per class.  The combinatorial core of the privacy argument is
-non-repetition: across the whole plan no class contributes the same subclass
-index twice, whatever the desired class was.
+A plan is a batch of k_max + 1 (``params.query_count``) queries, each naming
+one subclass index per class.  The combinatorial core of the privacy argument
+is non-repetition: across the whole plan no class contributes the same
+subclass index twice, whatever the desired class was.
 
 Every "pick one element of this set" step goes through a Chooser, so the same
 builder code is driven three ways: a seeded RNG for protocol runs, exhaustive
@@ -42,7 +42,7 @@ from .errors import (
     OutOfRange,
     PartitionInfeasible,
 )
-from .scenario import RuleResult, Scenario, ValidationReport, helpers_split_evenly, validate_scenario
+from .scenario import RuleResult, Scenario, ValidationReport, validate_scenario
 
 MAX_PLAN_ATTEMPTS = 1000
 
@@ -135,7 +135,7 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
     gamma = s.class_count
     si = s.users[0]
     sizes = s.class_map.sizes
-    total = s.query_count()
+    total = s.params.query_count
     used: list[set] = [set() for _ in range(gamma + 1)]
     chosen: dict[int, list[tuple[int, int]]] = {}
 
@@ -163,7 +163,7 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
             chosen[j] = [draw(i, (j - 1) % eta + 1) for i in classes]
 
     queries = tuple(Query(j, tuple(chosen[j])) for j in range(1, total + 1))
-    return QueryPlan(queries, s.disclosed_known_count("single"))
+    return QueryPlan(queries, s.params.disclosed_known_count("single"))
 
 
 def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
@@ -178,8 +178,8 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
     gamma = s.class_count
     users = s.user_count
     sizes = s.class_map.sizes
-    budget = s.per_user_known_budget()
-    total = s.query_count()
+    budget = s.params.per_user_known_budget
+    total = s.params.query_count
     used: list[set] = [set() for _ in range(gamma + 1)]
     queries = []
 
@@ -226,7 +226,7 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
 
         queries.append(Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
 
-    return QueryPlan(tuple(queries), s.disclosed_known_count("multi"))
+    return QueryPlan(tuple(queries), s.params.disclosed_known_count("multi"))
 
 
 def _check_demands(s: Scenario, demands: tuple, mode: str) -> None:
@@ -251,7 +251,7 @@ def plan_builder(s: Scenario, demands: tuple, mode: str):
     if mode == "single":
         v = demands[0]
         return lambda chooser: build_single_plan(s, v, chooser)
-    if not helpers_split_evenly(s.identifiable_count, s.user_count):
+    if not s.params.helpers_split_evenly:
         raise PartitionInfeasible(
             f"{s.identifiable_count - 1} helper classes cannot be split evenly "
             f"across {s.user_count} users"
@@ -328,7 +328,8 @@ def audit_non_repetition(plan: QueryPlan) -> NonRepetitionResult:
 def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
     gamma = s.class_count
     sizes = s.class_map.sizes
-    total = s.query_count()
+    total = s.params.query_count
+    disclosed = s.params.disclosed_known_count(mode)
     rules = [
         RuleResult(
             "plan_length",
@@ -337,9 +338,8 @@ def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
         ),
         RuleResult(
             "disclosed_value",
-            plan.disclosed_known_count == s.disclosed_known_count(mode),
-            f"expected disclosed count {s.disclosed_known_count(mode)}, "
-            f"got {plan.disclosed_known_count}",
+            plan.disclosed_known_count == disclosed,
+            f"expected disclosed count {disclosed}, got {plan.disclosed_known_count}",
         ),
     ]
     bad_shape = []
@@ -437,7 +437,7 @@ def _single_rules(s: Scenario, v: int, plan: QueryPlan) -> list[RuleResult]:
 def _multi_rules(s: Scenario, demands, plan: QueryPlan) -> list[RuleResult]:
     eta = s.identifiable_count
     users = s.user_count
-    budget = s.per_user_known_budget()
+    budget = s.params.per_user_known_budget
     bad = []
     for q in plan.queries:
         u = query_owner(q.index, users)

@@ -1,4 +1,4 @@
-"""Database and user model: messages, class partition, side information, validation.
+"""Database and user model: messages, class partition, side information, scheme numbers, validation.
 
 Conventions used throughout the package:
 
@@ -13,15 +13,18 @@ Conventions used throughout the package:
   remaining classes users know only how many messages they hold; the exact
   indices are stored as simulator ground truth and are reachable only through
   :meth:`SideInformation.oracle_indices`.
+
+Every number derived from these integers (k_max, the helper budget, the
+disclosed hint d, the code length) is defined once, on :class:`RateParams`;
+a scenario carries its own as ``Scenario.params``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from math import ceil
 
 from .errors import MalformedScenario, OutOfRange, UnidentifiableAccess
 from .field import PrimeField
@@ -154,20 +157,58 @@ class SideInformation:
             raise OutOfRange(f"class {i} outside [1, {len(self.indices)}]")
 
 
-def kmax(si_counts, identifiable_count: int) -> int:
-    """Largest count over the unidentifiable classes in per-user, per-class ``si_counts`` (0 if none)."""
-    return max((c for counts in si_counts for c in counts[identifiable_count:]), default=0)
+@dataclass(frozen=True)
+class RateParams:
+    """The integers that fix a scheme run, per user, and the one definition of
+    every number derived from them; the rate formulas read these too."""
 
+    class_count: int
+    identifiable_count: int
+    class_sizes: tuple[int, ...]
+    si_counts: tuple[tuple[int, ...], ...]
 
-def helper_budget(identifiable_count: int, user_count: int) -> int:
-    """Known pairs each user contributes per query in the collaborative scheme."""
-    return ceil((identifiable_count - 1) / user_count)
+    @classmethod
+    def from_scenario(cls, s: "Scenario") -> "RateParams":
+        return cls(s.class_count, s.identifiable_count, s.class_map.sizes, tuple(si.counts for si in s.users))
 
+    @property
+    def user_count(self) -> int:
+        return len(self.si_counts)
 
-def helpers_split_evenly(identifiable_count: int, user_count: int) -> bool:
-    """True iff the identifiable_count - 1 helper classes of a collaborative query
-    split into one equal block per user."""
-    return (identifiable_count - 1) % user_count == 0
+    @cached_property
+    def max_unidentified_count(self) -> int:
+        """k_max: the largest count over unidentifiable classes and all users (0 if none)."""
+        eta = self.identifiable_count
+        return max((c for counts in self.si_counts for c in counts[eta:]), default=0)
+
+    @property
+    def query_count(self) -> int:
+        return self.max_unidentified_count + 1
+
+    @property
+    def per_user_known_budget(self) -> int:
+        """Known pairs each user contributes per query in the collaborative scheme."""
+        return -(-(self.identifiable_count - 1) // self.user_count)
+
+    @property
+    def helpers_split_evenly(self) -> bool:
+        """True iff the identifiable_count - 1 helper classes of a collaborative
+        query split into one equal block per user."""
+        return (self.identifiable_count - 1) % self.user_count == 0
+
+    def disclosed_known_count(self, mode: str) -> int:
+        """The single integer sent to the server: it fixes the code dimension only."""
+        if mode == "single":
+            return self.identifiable_count - 1
+        if mode == "multi":
+            return self.per_user_known_budget
+        raise ValueError(f"unknown mode {mode!r}")
+
+    def code_length(self, mode: str) -> int:
+        return 2 * self.class_count - self.disclosed_known_count(mode)
+
+    def single_user(self, u: int) -> "RateParams":
+        return replace(self, si_counts=(self.si_counts[u - 1],))
 
 
 @dataclass(frozen=True)
@@ -211,31 +252,9 @@ class Scenario:
         return len(self.users)
 
     @cached_property
-    def _kmax(self) -> int:
-        # Plan builders ask for the query count on every attempt; the scenario is immutable.
-        return kmax((si.counts for si in self.users), self.identifiable_count)
-
-    def max_unidentified_count(self) -> int:
-        """Largest side-information count over unidentifiable classes and all users (0 if none)."""
-        return self._kmax
-
-    def query_count(self) -> int:
-        return self._kmax + 1
-
-    def per_user_known_budget(self) -> int:
-        """Known pairs contributed per user per query in the collaborative scheme."""
-        return helper_budget(self.identifiable_count, self.user_count)
-
-    def disclosed_known_count(self, mode: str) -> int:
-        """The single integer sent to the server: it fixes the code dimension only."""
-        if mode == "single":
-            return self.identifiable_count - 1
-        if mode == "multi":
-            return self.per_user_known_budget()
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def code_length(self, mode: str) -> int:
-        return 2 * self.class_count - self.disclosed_known_count(mode)
+    def params(self) -> RateParams:
+        # Plan builders read the query count on every attempt; the scenario is immutable.
+        return RateParams.from_scenario(self)
 
 
 @dataclass(frozen=True)
@@ -272,7 +291,7 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
     rules = []
     eta = s.identifiable_count
     gamma = s.class_count
-    kun = s.max_unidentified_count()
+    kun = s.params.max_unidentified_count
     sizes = s.class_map.sizes
 
     if mode == "single":
@@ -285,13 +304,13 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
         )
         users = s.users[:1]
         headroom_name = "class_headroom"
-        headroom_need = ceil((kun + 1) / eta)
+        headroom_need = -(-(kun + 1) // eta)
         headroom_classes = gamma
     else:
         rules.append(
             RuleResult(
                 "helper_partition",
-                helpers_split_evenly(eta, s.user_count),
+                s.params.helpers_split_evenly,
                 f"{eta - 1} helper classes must split evenly across {s.user_count} users",
             )
         )
@@ -304,7 +323,7 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
             )
         )
         headroom_name = "identifiable_headroom"
-        headroom_need = ceil((kun + 1) / s.user_count)
+        headroom_need = -(-(kun + 1) // s.user_count)
         headroom_classes = eta
 
     # Collaborative helper blocks may hit the same user-class pair in every
@@ -361,7 +380,7 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
         )
     )
 
-    need_q = s.code_length(mode)
+    need_q = s.params.code_length(mode)
     rules.append(
         RuleResult(
             "field_supports_code",

@@ -43,7 +43,6 @@ from typing import Optional
 from .analytics import (
     ComparisonReport,
     PrivacyReport,
-    RateParams,
     rate_isi,
     rate_multi,
     rate_naive_multi,
@@ -55,6 +54,7 @@ from .field import PrimeField
 from .mds import Generator, generator_from_explicit
 from .scenario import (
     MessageStore,
+    RateParams,
     Scenario,
     SideInformation,
     ValidationReport,

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from helpers import load_fixture
+
+# pytest's ``pythonpath`` setting reaches this process only; the CLI, demo and
+# acceptance tests start child Pythons, which need the checkout's sources too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -129,10 +129,10 @@ def protocol_sweep():
                 itertools.product(range(1, scenario.class_count + 1), repeat=scenario.user_count)
             )
             expected_rate = rate_multi(params)
-        rows = scenario.class_count - scenario.disclosed_known_count(
+        rows = scenario.class_count - scenario.params.disclosed_known_count(
             "single" if scenario.user_count == 1 else "multi"
         )
-        expected_d = scenario.query_count() * rows * scenario.store.symbols_per_message
+        expected_d = scenario.params.query_count * rows * scenario.store.symbols_per_message
         for demands in demand_space:
             for seed in range(SEEDS_PER_DEMAND):
                 trace = run_session(scenario, demands, seed=seed, explicit_generator=explicit)

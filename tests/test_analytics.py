@@ -23,7 +23,9 @@ from ppir.analytics import (
     SPARSE_SIDE_INFORMATION,
     UNIFORM_DENSE_SIDE_INFORMATION,
 )
-from ppir.errors import TooLargeToEnumerate
+from ppir import Scenario, SideInformation, random_store, run_session, sequential_class_map
+from ppir.errors import PartitionInfeasible, TooLargeToEnumerate
+from ppir.field import PrimeField
 
 FIVE = RateParams(5, 3, (7, 6, 8, 9, 9), ((3, 4, 5, 2, 3),))
 SIX = RateParams(6, 3, (9, 9, 10, 6, 7, 8), ((4, 4, 3, 2, 2, 2),))
@@ -64,6 +66,20 @@ class TestRates:
         p = RateParams.from_scenario(five_class.scenario)
         assert p == FIVE
 
+    def test_uneven_helper_split_is_not_priced(self):
+        # One helper class cannot split across two users: no collaborative
+        # plan exists, so there is no collaborative rate either.
+        sizes = (6, 6, 6)
+        users = (
+            SideInformation(2, (frozenset({1, 2, 3}), frozenset({1, 2, 3}), frozenset({1}))),
+            SideInformation(2, (frozenset({4, 5, 6}), frozenset({4, 5, 6}), frozenset({2}))),
+        )
+        s = Scenario(random_store(PrimeField(101), sizes, 1, 0), sequential_class_map(sizes), users, 2, 0)
+        with pytest.raises(PartitionInfeasible):
+            run_session(s, (1, 2), force=True)
+        with pytest.raises(PartitionInfeasible):
+            rate_multi(s.params)
+
 
 class TestComparisonConditions:
     def test_five_class_no_condition_applies(self):
@@ -71,6 +87,13 @@ class TestComparisonConditions:
         assert flags[SPARSE_SIDE_INFORMATION].status == "fails"
         assert flags[UNIFORM_DENSE_SIDE_INFORMATION].status == "not-applicable"
         assert flags[SINGLE_IDENTIFIABLE_CLASS].status == "fails"
+
+    def test_uniform_dense_threshold_is_an_integer_ceiling(self):
+        # The exact threshold k + ceil(2 (kmax + 1) / 3) is mu + 1 here; the
+        # float quotient rounds down to mu and would report "holds".
+        k, kun = 9007199254740995, 9007199254740994
+        p = RateParams(3, 2, (15011998757901658,) * 3, ((k, k, kun),))
+        assert comparison_conditions(p).flags[UNIFORM_DENSE_SIDE_INFORMATION].status == "fails"
 
     def test_six_class_sparse_holds(self):
         report = comparison_conditions(SIX)

@@ -27,13 +27,13 @@ from ppir.fixtures import fixture_path
 from ppir.queries import Query, QueryPlan
 
 
-def _si_contents(scenario, user=0):
+def _placeable(scenario, user=0):
     cm = scenario.class_map
     si = scenario.users[user]
     return {
-        cm.pair_to_global(i, b): scenario.store.symbols(cm.pair_to_global(i, b))
-        for i in range(1, scenario.class_count + 1)
-        for b in si.oracle_indices(i)
+        (i, b): scenario.store.symbols(cm.pair_to_global(i, b))
+        for i in range(1, scenario.identifiable_count + 1)
+        for b in si.known_indices(i)
     }
 
 
@@ -58,7 +58,7 @@ class TestServerAnswer:
         s = fsi.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 1), (2, 1), (3, 2)))
-        answer = answer_query(s.store, s.class_map, query, s.disclosed_known_count("single"), gen)
+        answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
         assert len(answer.parities) == 1
 
     def test_generator_shape_checked(self, five_class):
@@ -72,7 +72,7 @@ class TestServerAnswer:
         for loaded, mode, demands in ((five_class, "single", 3), (two_user, "multi", (2, 3))):
             s = loaded.scenario
             trace = run_session(s, demands, seed=1, explicit_generator=loaded.explicit_generator)
-            expect_rows = s.class_count - s.disclosed_known_count(mode)
+            expect_rows = s.class_count - s.params.disclosed_known_count(mode)
             assert all(len(a.parities) == expect_rows for a in trace.answers)
 
 
@@ -82,7 +82,7 @@ class TestClientDecode:
         gen = five_class.explicit_generator
         query = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2).queries[0]
         answer = answer_query(s.store, s.class_map, query, 2, gen)
-        messages = decode_answer(query, answer, s.users[0], _si_contents(s), s.class_map, gen)
+        messages = decode_answer(query, answer, _placeable(s), gen)
         assert messages[(3, 5)] == (9, 4)
         for pair, symbols in messages.items():
             assert symbols == s.store.symbols(s.class_map.pair_to_global(*pair))
@@ -91,9 +91,9 @@ class TestClientDecode:
         s = fsi.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 1), (2, 1), (3, 2)))  # exactly the user's side information
-        answer = answer_query(s.store, s.class_map, query, s.disclosed_known_count("single"), gen)
+        answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
         blank = type(answer)(answer.query_index, tuple(tuple(0 for _ in row) for row in answer.parities))
-        messages = decode_answer(query, blank, s.users[0], _si_contents(s), s.class_map, gen)
+        messages = decode_answer(query, blank, _placeable(s), gen)
         for pair, symbols in messages.items():
             assert symbols == s.store.symbols(s.class_map.pair_to_global(*pair))
 
@@ -103,9 +103,9 @@ class TestClientDecode:
         s = six_class.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 9), (2, 3), (3, 5), (4, 3), (5, 2), (6, 8)))
-        answer = answer_query(s.store, s.class_map, query, s.disclosed_known_count("single"), gen)
+        answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
         assert len(answer.parities) == 4
-        messages = decode_answer(query, answer, s.users[0], _si_contents(s), s.class_map, gen)
+        messages = decode_answer(query, answer, _placeable(s), gen)
         assert len(messages) == 6
         for pair, symbols in messages.items():
             assert symbols == s.store.symbols(s.class_map.pair_to_global(*pair))
@@ -117,7 +117,7 @@ class TestClientDecode:
         query = Query(1, ((1, 1), (2, 3), (3, 5), (4, 1), (5, 4)))
         answer = answer_query(s.store, s.class_map, query, 2, gen)
         with pytest.raises(InsufficientKnowns):
-            decode_answer(query, answer, s.users[0], _si_contents(s), s.class_map, gen)
+            decode_answer(query, answer, _placeable(s), gen)
 
 
 class TestRunSession:
@@ -172,10 +172,35 @@ class TestRunSession:
     def test_decoded_symbols_match_store(self, five_class):
         s = five_class.scenario
         trace = run_session(s, 4, seed=9, explicit_generator=five_class.explicit_generator)
-        held = _si_contents(s)
+        held = _placeable(s)
         for i, beta, f in trace.users[0].decoded:
-            if f in held:
-                assert held[f] == s.store.symbols(f)
+            if (i, beta) in held:
+                assert held[(i, beta)] == s.store.symbols(f)
+
+    def test_decode_sees_only_identifiable_pairs(self, five_class, six_class, two_user, monkeypatch):
+        # The session hands decode_answer exactly the user's side information
+        # in identifiable classes, once per user and query.
+        seen = []
+        real = exchange.decode_answer
+
+        def recording(query, answer, placeable, generator):
+            seen.append(placeable)
+            return real(query, answer, placeable, generator)
+
+        monkeypatch.setattr(exchange, "decode_answer", recording)
+        for loaded, demands in ((five_class, 3), (six_class, 4), (two_user, (2, 3))):
+            s = loaded.scenario
+            seen.clear()
+            trace = run_session(s, demands, seed=2, explicit_generator=loaded.explicit_generator)
+            per_user = len(trace.answers)
+            assert len(seen) == s.user_count * per_user
+            for k, placeable in enumerate(seen):
+                si = s.users[k // per_user]
+                assert placeable == {
+                    (i, b): s.store.symbols(s.class_map.pair_to_global(i, b))
+                    for i in range(1, s.identifiable_count + 1)
+                    for b in si.oracle_indices(i)
+                }
 
     def test_server_blindness_replay(self, five_class):
         # Replaying the server on the trace's own projection must reproduce
@@ -235,8 +260,8 @@ class TestRunSession:
         ):
             s = loaded.scenario
             trace = run_session(s, demands, seed=3, explicit_generator=loaded.explicit_generator)
-            kun = s.max_unidentified_count()
-            rows = s.class_count - s.disclosed_known_count(mode)
+            kun = s.params.max_unidentified_count
+            rows = s.class_count - s.params.disclosed_known_count(mode)
             expect_d = (kun + 1) * rows * s.store.symbols_per_message
             assert trace.downloaded_symbols == expect_d
             assert trace.rate == Fraction(s.store.symbols_per_message, expect_d)
@@ -248,7 +273,7 @@ def test_session_generator_prefers_matching_explicit(five_class):
     assert gen == five_class.explicit_generator
     # Shape mismatch falls back to the default construction.
     other = session_generator(s, "multi", five_class.explicit_generator)
-    assert other.n == s.code_length("multi")
+    assert other.n == s.params.code_length("multi")
 
 
 def test_default_generator_sessions_also_recover(six_class):

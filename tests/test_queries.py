@@ -84,7 +84,7 @@ class TestSingleUserGeneration:
             for v in range(1, s.class_count + 1):
                 for seed in range(10):
                     plan = generate_single_user_plan(s, v, seed=seed)
-                    assert len(plan.queries) == s.query_count()
+                    assert len(plan.queries) == s.params.query_count
                     assert check_plan(s, (v,), plan, "single").ok
                     assert audit_non_repetition(plan).ok
 
@@ -126,7 +126,7 @@ class TestSingleUserGeneration:
             plan = generate_single_user_plan(s, 5, seed=seed)
             seen = {dict(q.pairs)[5] for q in plan.queries}
             # More distinct class-5 indices than the user holds there.
-            assert len(seen) == s.query_count() > si.count(5)
+            assert len(seen) == s.params.query_count > si.count(5)
 
 
 class TestMultiUserGeneration:
@@ -202,11 +202,11 @@ class TestSingleUserReduction:
 
     def test_one_user_collaboration_matches_single_user_shape(self):
         s = self._shared_scenario()
-        assert s.disclosed_known_count("multi") == s.disclosed_known_count("single")
+        assert s.params.disclosed_known_count("multi") == s.params.disclosed_known_count("single")
         for v in range(1, 5):
             for seed in range(10):
                 plan = generate_multi_user_plan(s, (v,), seed=seed)
-                assert len(plan.queries) == s.query_count()
+                assert len(plan.queries) == s.params.query_count
                 assert audit_non_repetition(plan).ok
                 if v <= s.identifiable_count:
                     # Collaborative plans are strictly more structured than the

@@ -1,7 +1,13 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from helpers import load_fixture, random_multi_scenario, random_single_scenario
 from ppir import (
     ClassMap,
+    RateParams,
     Scenario,
     SideInformation,
     random_store,
@@ -11,6 +17,7 @@ from ppir import (
 )
 from ppir.errors import MalformedScenario, OutOfRange, UnidentifiableAccess
 from ppir.field import PrimeField
+from ppir.fixtures import NAMES
 
 # Nine messages in three classes of consecutive global indices: 1-3, 4-5, 6-9.
 MAPPING = sequential_class_map((3, 2, 4))
@@ -115,7 +122,7 @@ class TestValidation:
 
     def test_boundary_depth_passes(self, five_class):
         # Depth exactly equal to the largest unidentifiable count is allowed.
-        assert five_class.scenario.users[0].count(1) == five_class.scenario.max_unidentified_count()
+        assert five_class.scenario.users[0].count(1) == five_class.scenario.params.max_unidentified_count
         assert validate_scenario(five_class.scenario, "single").ok
 
     def test_multi_mode_needs_strict_depth(self, five_class):
@@ -167,6 +174,45 @@ class TestValidation:
         a = validate_scenario(five_class.scenario, "single")
         b = validate_scenario(five_class.scenario, "single")
         assert a == b
+
+
+def _assert_params_follow_definitions(s: Scenario) -> None:
+    """Every derived number on ``s.params`` equals its definition, computed here from the scenario."""
+    p = s.params
+    assert p == RateParams.from_scenario(s)
+    eta, users = s.identifiable_count, s.user_count
+    kmax = max((si.count(i) for si in s.users for i in range(eta + 1, s.class_count + 1)), default=0)
+    budget = math.ceil(Fraction(eta - 1, users))
+    assert p.max_unidentified_count == kmax
+    assert p.query_count == kmax + 1
+    assert p.per_user_known_budget == budget
+    assert p.helpers_split_evenly == (budget * users == eta - 1)
+    for mode, d in (("single", eta - 1), ("multi", budget)):
+        assert p.disclosed_known_count(mode) == d
+        assert p.code_length(mode) == 2 * s.class_count - d
+
+
+class TestRateParams:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_fixture_params_follow_definitions(self, name):
+        s = load_fixture(name).scenario
+        _assert_params_follow_definitions(s)
+        assert s.params is s.params
+
+    def test_random_params_follow_definitions(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            _assert_params_follow_definitions(random_single_scenario(rng))
+            _assert_params_follow_definitions(random_multi_scenario(rng))
+
+    def test_budget_is_an_integer_ceiling(self):
+        # (2**53 + 1) / 1 is not a float-exact quotient: a float ceiling gives 2**53.
+        p = RateParams(2**53 + 2, 2**53 + 2, (), ((),))
+        assert p.per_user_known_budget == 2**53 + 1
+
+    def test_unknown_mode_refused(self, five_class):
+        with pytest.raises(ValueError):
+            five_class.scenario.params.code_length("both")
 
 
 class TestRandomSymbols:
