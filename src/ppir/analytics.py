@@ -9,11 +9,23 @@ projection.  Dead-end paths (empty pick sets) carry their weight into a
 rejected mass and the surviving projections are renormalised, which is exactly
 the distribution of the retrying generators.
 
+In single mode the oracle refuses an oversized tree after its first leaf.
+Every pick set's size there is fixed by the step alone: a fresh pick excludes
+the side information plus the class's earlier fresh picks (all outside it), a
+known pick excludes the class's earlier known picks, and an unidentifiable
+class excludes its earlier picks.  So every path records the same sizes and
+the tree has exactly their product of leaves, which decides the limit as a
+full walk would.  In multi mode the stand-in class ties, the helpers' known
+pools and the dead ends depend on earlier picks, so the walk counts leaves.
+
 Indistinguishability across demands is reported as total-variation distance,
-computed in integers over the lcm of each pair's denominators, with the
-server views interned to small ints once per report.  It is diagnostic output
-only: the scheme's privacy argument is the non-repetition invariant, which the
-census here checks directly.
+exact in integers.  One routine serves a whole report: each distribution is
+scaled once to integers over its own lcm, every server view is indexed to
+the distributions whose support holds it, and a pair's shared mass sums
+min(x, y) over only the views it shares; TV is then (mass_a + mass_b -
+2 shared) / 2 over the pair's lcm, so pairs sharing no view cost their masses
+alone.  It is diagnostic output only: the scheme's privacy argument is the
+non-repetition invariant, which the census here checks directly.
 """
 
 from __future__ import annotations
@@ -176,7 +188,8 @@ def query_distribution(
 
     Walks every branch of the builders' choice tree with uniform weight per
     pick; this is the brute-force oracle the Monte Carlo estimator is checked
-    against.  Raises TooLargeToEnumerate past ``limit`` leaves.
+    against.  Raises TooLargeToEnumerate past ``limit`` leaves; in single mode
+    that is known from the first leaf (see the module docstring).
     """
     build = plan_builder(s, demands, mode)
     results: dict = defaultdict(Fraction)
@@ -192,7 +205,10 @@ def query_distribution(
             plan = build(chooser)
         except DeadEnd:
             plan = None
-        prob = Fraction(1, prod(chooser.sizes))
+        paths = prod(chooser.sizes)
+        if mode == "single" and paths > limit:
+            raise TooLargeToEnumerate(f"more than {limit} choice paths")
+        prob = Fraction(1, paths)
         if plan is None:
             dead += prob
         else:
@@ -215,6 +231,8 @@ def sample_query_distribution(
     s: Scenario, demands: tuple, mode: str = "single", *, samples: int, seed: int = 0
 ) -> dict:
     """Empirical projection distribution from running the actual generator."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     build = plan_builder(s, demands, mode)
     chooser = RandomChooser(random.Random(seed))
     counts: Counter = Counter()
@@ -223,20 +241,40 @@ def sample_query_distribution(
     return {k: Fraction(v, samples) for k, v in counts.items()}
 
 
-def tv_distance(a: dict, b: dict) -> Fraction:
-    """Total-variation distance between two projection distributions.
-
-    Computed in integers: every probability is scaled to a numerator over L,
-    the lcm of all denominators in ``a`` and ``b``, the absolute differences
-    are summed as ints, and the one Fraction built is ``total / (2 L)``.
+def _pairwise_tv(dists) -> list:
+    """Total-variation distance of every pair of ``dists``, in
+    ``itertools.combinations`` order (method in the module docstring); exact
+    for any non-negative weights, including distributions that do not sum to 1
+    and empty ones.  A pair's sums are kept over L_a L_b, which the one
+    Fraction built per pair reduces to their lcm.
     """
-    common = lcm(*(v.denominator for v in a.values()), *(v.denominator for v in b.values()))
-    scaled = {k: v.numerator * (common // v.denominator) for k, v in a.items()}
-    total = 0
-    for k, v in b.items():
-        total += abs(scaled.pop(k, 0) - v.numerator * (common // v.denominator))
-    total += sum(abs(x) for x in scaled.values())
-    return Fraction(total, 2 * common)
+    scales, masses = [], []
+    holders: dict = defaultdict(list)
+    for i, dist in enumerate(dists):
+        scale = lcm(*(p.denominator for p in dist.values()))
+        mass = 0
+        for view, p in dist.items():
+            x = p.numerator * (scale // p.denominator)
+            holders[view].append((i, x))
+            mass += x
+        scales.append(scale)
+        masses.append(mass)
+    shared: dict = defaultdict(int)
+    for held in holders.values():
+        for (a, x), (b, y) in itertools.combinations(held, 2):
+            shared[a, b] += min(x * scales[b], y * scales[a])
+    return [
+        Fraction(
+            masses[a] * scales[b] + masses[b] * scales[a] - 2 * shared.get((a, b), 0),
+            2 * scales[a] * scales[b],
+        )
+        for a, b in itertools.combinations(range(len(dists)), 2)
+    ]
+
+
+def tv_distance(a: dict, b: dict) -> Fraction:
+    """Total-variation distance between two projection distributions."""
+    return _pairwise_tv((a, b))[0]
 
 
 @dataclass(frozen=True)
@@ -274,7 +312,15 @@ def privacy_report(
     mc_samples: int = 2000,
 ) -> PrivacyReport:
     """Non-repetition census over seeded runs of every demand choice, plus a
-    distribution audit (exact when enumerable, Monte Carlo otherwise)."""
+    distribution audit (exact when enumerable, Monte Carlo otherwise).
+
+    Raises ValueError for ``runs < 0`` or ``mc_samples < 1``: an audit with no
+    sample could not tell demands apart, yet would report TV 0 on every pair.
+    """
+    if runs < 0:
+        raise ValueError(f"runs must be at least 0, got {runs}")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     demand_space = _demand_space(s, mode)
     checks = 0
     failures = 0
@@ -310,17 +356,9 @@ def privacy_report(
             for i, d in enumerate(demand_space)
         }
         method, samples = "monte-carlo", mc_samples
-    # Re-key every distribution once by a small int per distinct server
-    # view, shared by all demands, so each TV pair hashes ints rather than
-    # nested (class, subclass) tuples.
-    view_ids: dict = {}
-    dists = {
-        d: {view_ids.setdefault(view, len(view_ids)): p for view, p in dist.items()}
-        for d, dist in dists.items()
-    }
+    tvs = _pairwise_tv([dists[d] for d in demand_space])
     pairs = tuple(
-        (a, b, tv_distance(dists[a], dists[b]))
-        for a, b in itertools.combinations(demand_space, 2)
+        (a, b, tv) for (a, b), tv in zip(itertools.combinations(demand_space, 2), tvs)
     )
 
     return PrivacyReport(

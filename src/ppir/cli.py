@@ -22,6 +22,7 @@ the default code is used instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analytics import comparison_conditions, privacy_report
@@ -151,7 +152,9 @@ def cmd_selftest(_args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="ppir",
         description="Pliable private information retrieval with identifiable side information: "

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import FIVE_CLASS_DEMAND3_QUERIES, TWO_USER_BATCH_B, published_plan
+from helpers import FIVE_CLASS_DEMAND3_QUERIES, TWO_USER_BATCH_B, published_plan, random_single_scenario
 from ppir import (
     RateParams,
     audit_non_repetition,
@@ -22,9 +24,12 @@ from ppir.analytics import (
     SINGLE_IDENTIFIABLE_CLASS,
     SPARSE_SIDE_INFORMATION,
     UNIFORM_DENSE_SIDE_INFORMATION,
+    _pairwise_tv,
+    _ReplayChooser,
 )
 from ppir import Scenario, SideInformation, random_store, run_session, sequential_class_map
 from ppir.errors import PartitionInfeasible, TooLargeToEnumerate
+from ppir.queries import DeadEnd, plan_builder
 from ppir.field import PrimeField
 
 FIVE = RateParams(5, 3, (7, 6, 8, 9, 9), ((3, 4, 5, 2, 3),))
@@ -247,6 +252,53 @@ class TestDistributionOracle:
         assert 0 <= tv <= 1
 
 
+def leaf_sizes(build):
+    """Size product of every leaf of the builder's choice tree, in walk order."""
+    products = []
+    prefix: list[int] = []
+    while True:
+        chooser = _ReplayChooser(prefix)
+        try:
+            build(chooser)
+        except DeadEnd:
+            pass
+        products.append(prod(chooser.sizes))
+        path, sizes = chooser.path, chooser.sizes
+        while path and path[-1] + 1 >= sizes[len(path) - 1]:
+            path.pop()
+            sizes.pop()
+        if not path:
+            return products
+        path[-1] += 1
+        prefix = path
+
+
+class TestSingleLeafCount:
+    def test_every_leaf_records_the_first_leafs_product(self):
+        # Single-mode pick sets have sizes fixed by the step alone, so the
+        # first leaf's product is the exact leaf count and the oracle's
+        # first-leaf refusal decides ``limit`` as a full walk would.
+        trees = 0
+        for seed in range(200):
+            s = random_single_scenario(random.Random(seed))
+            for v in range(1, s.class_count + 1):
+                build = plan_builder(s, (v,), "single")
+                first = _ReplayChooser([])
+                try:
+                    build(first)
+                except DeadEnd:
+                    pass
+                paths = prod(first.sizes)
+                if paths > 400:
+                    continue
+                trees += 1
+                assert leaf_sizes(build) == [paths] * paths, (seed, v)
+                query_distribution(s, (v,), limit=paths)
+                with pytest.raises(TooLargeToEnumerate, match=f"more than {paths - 1} choice paths"):
+                    query_distribution(s, (v,), limit=paths - 1)
+        assert trees > 100
+
+
 def old_tv(a, b):
     """The Fraction-sum formula ``tv_distance`` replaced, kept as its oracle."""
     return sum(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()) / 2
@@ -284,6 +336,24 @@ class TestTvDistance:
         assert tv_distance(a, a) == 0
 
 
+DISTRIBUTION_LISTS = st.sampled_from([INT_KEYS, TUPLE_KEYS]).flatmap(
+    lambda keys: st.lists(st.dictionaries(keys, PROBABILITIES, max_size=6), max_size=5)
+)
+
+
+class TestPairwiseTv:
+    @given(dists=DISTRIBUTION_LISTS)
+    @example(dists=[])
+    @example(dists=[{}, {}, {0: Fraction(1, 3), 1: Fraction(2, 3)}])
+    def test_every_pair_matches_fraction_sum(self, dists):
+        tvs = _pairwise_tv(dists)
+        pairs = list(itertools.combinations(dists, 2))
+        assert len(tvs) == len(pairs)
+        for tv, (a, b) in zip(tvs, pairs):
+            assert tv == old_tv(a, b)
+            assert isinstance(tv, Fraction)
+
+
 class TestPrivacyReport:
     def test_tiny_full_report(self, tiny):
         report = privacy_report(tiny.scenario, "single", runs=50, base_seed=1)
@@ -296,6 +366,17 @@ class TestPrivacyReport:
         report = privacy_report(tiny.scenario, "single", runs=0, base_seed=1)
         assert report.checks == 0 and report.failures == 0
         assert report.pass_rate == 1
+
+    @pytest.mark.parametrize("kwargs", [{"runs": -3}, {"runs": 1, "mc_samples": 0}, {"runs": 1, "mc_samples": -1}])
+    def test_no_evidence_is_refused(self, five_class, kwargs):
+        # An audit without samples would report TV 0 on every pair.
+        with pytest.raises(ValueError):
+            privacy_report(five_class.scenario, "single", enum_limit=10, **kwargs)
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_sampling_needs_a_sample(self, tiny, samples):
+        with pytest.raises(ValueError):
+            sample_query_distribution(tiny.scenario, (1,), samples=samples)
 
     def test_monte_carlo_fallback(self, five_class):
         report = privacy_report(

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ppir import load_scenario, validate_scenario
+from ppir.cli import main
 from ppir.fixtures import fixture_path
 from ppir.selftest import CHECKS, run_selftest
 
@@ -299,6 +300,17 @@ class TestAudit:
         for out in (a, b):
             run_cli("audit", fixture("tiny_two_class.json"), "--runs", "25", "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_reuse_keeps_calls_apart(tmp_path):
+    # The parser is built once per process; a second main() must not see the
+    # first call's appended --demand values.
+    multi, single = tmp_path / "multi.json", tmp_path / "single.json"
+    two_user = fixture("two_user_seven_class.json")
+    assert main(["run", two_user, "--demand", "2", "--demand", "3", "--out", str(multi)]) == 0
+    assert main(["run", fixture("five_class.json"), "--demand", "3", "--out", str(single)]) == 0
+    assert json.loads(multi.read_text())["demands"] == [2, 3]
+    assert json.loads(single.read_text())["demands"] == [3]
 
 
 class TestSelftest:

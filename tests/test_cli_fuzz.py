@@ -6,9 +6,10 @@ out-of-range or huge integer, a boolean or a nested array) and runs
 ``ppir run`` (plain and ``--force``) and ``ppir rates`` on it in-process, plus
 ``ppir audit --runs 1`` on mutated tiny_two_class documents.  Every run must
 end with an exit code in {0, 2, 3, 4}; an uncaught exception fails the
-example.  ``audit`` is not run on five_class: its enumeration takes minutes.  A
-mutation only drops entries or puts in a value of at most 6 leaves, so a
-mutated tiny_two_class keeps its enumeration tiny.
+example.  ``audit`` is not run on five_class: its enumeration is refused at
+once, but the 2,000-sample Monte Carlo that replaces it takes about a second
+per call.  A mutation only drops entries or puts in a value of at most 6
+leaves, so a mutated tiny_two_class keeps its enumeration tiny.
 """
 
 import contextlib

@@ -1,6 +1,6 @@
 import pytest
 from ppir.errors import NonPrimeOrder, ZeroInverse
-from ppir.field import MAX_ORDER, PrimeField
+from ppir.field import MAX_ORDER, PrimeField, _is_prime
 
 SMALL_PRIMES = (2, 3, 5, 11, 13, 101)
 
@@ -23,6 +23,25 @@ class TestConstruction:
         assert PrimeField(MAX_ORDER).order == MAX_ORDER  # 2**31 - 1 is prime
         with pytest.raises(NonPrimeOrder):
             PrimeField(2305843009213693951)  # prime, but above the cap
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_50000(self):
+        assert [n for n in range(50_000) if _is_prime(n)] == [
+            n for n in range(50_000) if trial_division_is_prime(n)
+        ]
+
+    def test_accepts_the_cap(self):
+        assert _is_prime(2**31 - 1)
+
+    @pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # Strong pseudoprimes to bases 2; 2 and 3; 2, 3 and 5 respectively.
+        assert not _is_prime(n)
 
 
 class TestInverse:

@@ -5,8 +5,8 @@ serialized sessions and three audit reports: one exact enumeration and two
 Monte Carlo estimates, one of whose TV values is 1/25 rather than the
 saturated "1" every pair of a larger fixture reports.  They also pin the
 other documents ``dump_json`` writes: ``ppir rates`` on every fixture that
-passes validation (a null, mixed string/int witness lists), one whole
-``ppir audit`` document, and validation reports with failing rules and tuple
+passes validation (a null, mixed string/int witness lists), two whole
+``ppir audit`` documents, and validation reports with failing rules and tuple
 witnesses.  Each fixture digest covers every demand choice of that fixture at
 one seed: the traces' canonical JSON in demand order, or the error class name
 for a forced run that fails.  Fixtures that fail validation
@@ -14,6 +14,11 @@ for a forced run that fails.  Fixtures that fail validation
 recovery failures.  One-user fixtures are also pinned in multi mode (``ppir
 run --mode multi``), forced where that mode's validation refuses them
 (five_class).
+
+The default ``ppir audit five_class.json`` (1000 runs, scenario seed) is
+pinned at 797b322d835549846185fac085737fd44d69c149031f4c8e23408623ddf56761:
+its single-user enumeration exceeds the leaf limit, is refused after one leaf,
+and the report falls back to 2,000-sample Monte Carlo.
 """
 
 import hashlib
@@ -89,6 +94,9 @@ RATES_DIGESTS = {
 
 # ``ppir audit tiny_two_class.json --runs 2 --seed 3``, scenario_validation included.
 AUDIT_CLI_DIGEST = "fd77a76d5b2470494f4234bdcb180dc06505e81638013004eb053bd5d8e14add"
+
+# ``ppir audit five_class.json`` with the default runs and seed.
+FIVE_CLASS_DEFAULT_AUDIT_DIGEST = "797b322d835549846185fac085737fd44d69c149031f4c8e23408623ddf56761"
 
 # validation_to_dict(validate_scenario(...)): failing rules with empty witness
 # lists (two_user_three_class), and with tuple witnesses (five_class in multi mode).
@@ -170,6 +178,11 @@ def test_rates_bytes(name, tmp_path):
 def test_audit_cli_bytes(tmp_path):
     argv = ("audit", str(fixture_path("tiny_two_class.json")), "--runs", "2", "--seed", "3")
     assert cli_digest(tmp_path, *argv) == AUDIT_CLI_DIGEST
+
+
+def test_five_class_default_audit_bytes(tmp_path):
+    argv = ("audit", str(fixture_path("five_class.json")))
+    assert cli_digest(tmp_path, *argv) == FIVE_CLASS_DEFAULT_AUDIT_DIGEST
 
 
 @pytest.mark.parametrize("name,mode", sorted(VALIDATION_DIGESTS))
