@@ -316,9 +316,14 @@ def privacy_report(
 
     Raises ValueError for ``runs < 0`` or ``mc_samples < 1``: an audit with no
     sample could not tell demands apart, yet would report TV 0 on every pair.
+    Raises ValueError for ``base_seed < 0`` too: ``random.Random(-s)`` draws
+    what ``random.Random(s)`` draws, so the census would check fewer distinct
+    plans than it reports.
     """
     if runs < 0:
         raise ValueError(f"runs must be at least 0, got {runs}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be at least 0, got {base_seed}")
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     demand_space = _demand_space(s, mode)

@@ -8,21 +8,26 @@ Subcommands:
     ppir rates    scenario.json [--out report.json]
     ppir selftest
 
-Exit codes: 0 success, 2 parse error, a bad --demand / --runs value or an
---out path that cannot be written, 3 validation refused (``rates`` validates
-too; also when the plan search exhausted its retries, or ``rates`` met
-parameters that contradict an advantage condition), 4 recovery failure (a
-decoded message differs from the store, a user gains no new message, or the
-plan breaks a selection rule).
-Identical inputs produce byte-identical output files.  ``run`` warns on
-stderr when the file's explicit generator does not fit the run's [n, k] and
-the default code is used instead.
+Exit codes: 0 success, 2 parse error, a bad --demand / --runs value, a
+negative --seed, or an --out path or stdout that cannot be written, 3
+validation refused (``rates`` validates too; also when the plan search
+exhausted its retries, or ``rates`` met parameters that contradict an
+advantage condition), 4 recovery failure (a decoded message differs from the
+store, a user gains no new message, or the plan breaks a selection rule).
+Identical inputs produce byte-identical output files.  ``--out`` writes the
+document over the existing file and then cuts a regular file to the
+document's length, so the file keeps its inode and links; a non-regular
+target (``/dev/null``, a FIFO) is written without truncation.  ``run`` warns
+on stderr when the file's explicit generator does not fit the run's [n, k]
+and the default code is used instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from .analytics import comparison_conditions, privacy_report
@@ -57,17 +62,38 @@ EXIT_RECOVERY = 4
 
 
 def _emit(text: str, out_path) -> int:
-    """Write the document to ``out_path`` (stdout when unset); exit 2 when the path cannot be written."""
-    if not out_path:
-        sys.stdout.write(text)
-        return EXIT_OK
+    """Write the document to ``out_path`` (stdout when unset); exit 2 when it cannot be written.
+
+    The file is overwritten in place, not opened with ``O_TRUNC``: truncating a
+    file to zero and rewriting it costs far more on some filesystems than
+    overwriting it and cutting off the old tail.
+    """
     try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if not out_path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return EXIT_OK
+        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # ftruncate fails on /dev/null or a FIFO
+                handle.truncate()
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        if not out_path:
+            _silence_stdout()
+        print(f"error: cannot write {out_path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the exit-time flush cannot fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-memory stream: nothing reaches a descriptor at exit
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _infer_mode(args, user_count: int) -> str:
@@ -191,6 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # random.Random(-s) draws what random.Random(s) draws: a negative seed would alias its absolute value.
+    if (getattr(args, "seed", None) or 0) < 0:  # ``rates`` and ``selftest`` take no --seed
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.handler(args)
     except MalformedScenario as exc:

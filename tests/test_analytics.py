@@ -373,6 +373,13 @@ class TestPrivacyReport:
         with pytest.raises(ValueError):
             privacy_report(five_class.scenario, "single", enum_limit=10, **kwargs)
 
+    @pytest.mark.parametrize("base_seed", [-1, -3])
+    def test_negative_base_seed_is_refused(self, tiny, base_seed):
+        # Random(-s) is Random(s): a census from -3 would check seeds -3..3 but only 4 distinct plans.
+        assert random.Random(base_seed).random() == random.Random(-base_seed).random()
+        with pytest.raises(ValueError, match="base_seed"):
+            privacy_report(tiny.scenario, "single", runs=1, base_seed=base_seed)
+
     @pytest.mark.parametrize("samples", [0, -2])
     def test_sampling_needs_a_sample(self, tiny, samples):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -359,3 +361,107 @@ def test_stdout_default(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["rate"] == "1"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run", fixture("six_class.json"), "--demand", "2", "--seed", "-7"),
+        ("audit", fixture("tiny_two_class.json"), "--runs", "2", "--seed", "-3"),
+    ],
+    ids=["run", "audit"],
+)
+def test_negative_seed_exits_2(tmp_path, command):
+    # random.Random(-s) draws what random.Random(s) draws, so a negative seed would alias its absolute value.
+    out = tmp_path / "out.json"
+    proc = run_cli(*command, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: --seed must be a non-negative integer"]
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def run_cli_closed_stdout(*args):
+    """Run the CLI with stdout a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "ppir", *args], stdout=write_end, stderr=subprocess.PIPE, text=True, check=False
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("run", fixture("five_class.json"), "--demand", "1"), ("rates", fixture("five_class.json"))],
+    ids=["run", "rates"],
+)
+def test_closed_stdout_exits_2(command):
+    proc = run_cli_closed_stdout(*command)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+# --out writes the document over the existing file and cuts a regular file to its length.
+OUT_COMMANDS = {
+    "run": ["run", fixture("tiny_two_class.json"), "--demand", "1"],
+    "audit": ["audit", fixture("tiny_two_class.json"), "--runs", "1"],
+    "rates": ["rates", fixture("tiny_two_class.json")],
+}
+LONG_RUN = ["run", fixture("two_user_seven_class.json"), "--demand", "2", "--demand", "3"]
+
+
+def _stdout_of(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(OUT_COMMANDS))
+def test_shorter_document_leaves_no_tail(tmp_path, capsys, name):
+    out = tmp_path / "doc.json"
+    assert main([*LONG_RUN, "--out", str(out)]) == 0
+    longer = out.read_bytes()
+    expected = _stdout_of(capsys, OUT_COMMANDS[name])
+    assert len(expected) < len(longer)
+    assert main([*OUT_COMMANDS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", sorted(OUT_COMMANDS))
+def test_out_dev_null_exits_0(capsys, name):
+    assert main([*OUT_COMMANDS[name], "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_out_keeps_the_inode(tmp_path, capsys):
+    out, link = tmp_path / "doc.json", tmp_path / "link.json"
+    assert main([*LONG_RUN, "--out", str(out)]) == 0
+    os.link(out, link)
+    assert main([*OUT_COMMANDS["rates"], "--out", str(out)]) == 0
+    assert link.read_bytes() == out.read_bytes() == _stdout_of(capsys, OUT_COMMANDS["rates"])
+
+
+def test_out_creates_a_missing_file(tmp_path, capsys):
+    out = tmp_path / "new.json"
+    assert main([*OUT_COMMANDS["run"], "--out", str(out)]) == 0
+    assert out.read_bytes() == _stdout_of(capsys, OUT_COMMANDS["run"])
+
+
+def test_out_fifo_is_written_without_truncation(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main([*OUT_COMMANDS["rates"], "--out", str(fifo)])
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0
+    assert received == [_stdout_of(capsys, OUT_COMMANDS["rates"])]

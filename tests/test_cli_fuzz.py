@@ -10,11 +10,20 @@ example.  ``audit`` is not run on five_class: its enumeration is refused at
 once, but the 2,000-sample Monte Carlo that replaces it takes about a second
 per call.  A mutation only drops entries or puts in a value of at most 6
 leaves, so a mutated tiny_two_class keeps its enumeration tiny.
+
+A second test fuzzes the arguments instead of the document: on
+tiny_two_class it draws ``--seed``, ``--demand`` and ``--runs`` from the same
+integers and ``--out`` from a fresh file, an existing longer file,
+``/dev/null``, a directory and a missing directory, then runs ``run`` (plain
+and ``--force``), ``audit`` and ``rates`` in-process under the same contract.
+A successful run must leave a file target holding one JSON document, with no
+tail of the longer one it overwrote.
 """
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -26,9 +35,11 @@ from ppir.fixtures import fixture_path
 FIXTURES = ("tiny_two_class.json", "five_class.json")
 DOCUMENTS = {name: json.loads(fixture_path(name).read_text()) for name in FIXTURES}
 
-# Store building costs time linear in symbols_per_message; a larger length
-# would only make a load slow, never change its exit code.
+# Store building costs time linear in symbols_per_message, and an audit
+# linear in --runs; larger values would only make a call slow, never change
+# its exit code.
 MAX_SYMBOLS_PER_MESSAGE = 1000
+MAX_RUNS = 12
 
 integers = st.one_of(
     st.integers(-3, 12),
@@ -112,3 +123,33 @@ def test_mutated_documents_keep_exit_contract(case, demand):
             code, err = _main(argv)
             assert code in {0, 2, 3, 4}, (argv[0], code, err)
             assert "Traceback" not in err
+
+
+OUT_TARGETS = ("fresh", "longer", "devnull", "directory", "missing_directory")
+LONGER_DOCUMENT = "x" * 20_000  # longer than any tiny_two_class document
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=integers, demand=integers, runs=integers, target=st.sampled_from(OUT_TARGETS))
+def test_arguments_keep_exit_contract(seed, demand, runs, target):
+    path = str(fixture_path("tiny_two_class.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {
+            "fresh": Path(tmp) / "out.json",
+            "longer": Path(tmp) / "out.json",
+            "devnull": Path(os.devnull),
+            "directory": Path(tmp),
+            "missing_directory": Path(tmp) / "missing" / "out.json",
+        }[target]
+        run = ["run", path, "--demand", str(demand), "--seed", str(seed)]
+        audit = ["audit", path, "--runs", str(min(runs, MAX_RUNS)), "--seed", str(seed)]
+        for argv in (run, run + ["--force"], audit, ["rates", path]):
+            if target == "fresh":
+                out.unlink(missing_ok=True)
+            elif target == "longer":
+                out.write_text(LONGER_DOCUMENT)
+            code, err = _main(argv + ["--out", str(out)])
+            assert code in {0, 2, 3, 4}, (argv[0], code, err)
+            assert "Traceback" not in err
+            if code == 0 and out.is_file():
+                json.loads(out.read_text())
