@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Optional
 
-from .errors import ConditionsInconsistent, PartitionInfeasible, TooLargeToEnumerate
+from .errors import ConditionsInconsistent, TooLargeToEnumerate
 from .queries import (
     Chooser,
     DeadEnd,
@@ -71,11 +71,7 @@ def rate_usi(p: RateParams) -> Fraction:
 def rate_multi(p: RateParams) -> Fraction:
     """Achieved rate of the collaborative scheme (reduces to rate_isi at one user);
     raises PartitionInfeasible when no plan exists because the helpers split unevenly."""
-    if not p.helpers_split_evenly:
-        raise PartitionInfeasible(
-            f"{p.identifiable_count - 1} helper classes cannot be split evenly "
-            f"across {p.user_count} users"
-        )
+    p.require_helpers_split_evenly()
     kun = p.max_unidentified_count
     return Fraction(1, (kun + 1) * (p.class_count - p.per_user_known_budget))
 
@@ -129,6 +125,9 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
         sparse_bad + flat_bad,
     )
 
+    dense_bad = tuple(
+        i + 1 for i in range(gamma) if counts[i] + 1 < sizes[i] - counts[i]
+    )
     id_counts = set(counts[:eta])
     un_counts = set(counts[eta:])
     uniform_shape = (
@@ -137,21 +136,13 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
     if not uniform_shape:
         flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag("not-applicable")
     else:
-        mu = sizes[0]
-        k = counts[0]
-        dense_bad = tuple(
-            i + 1 for i in range(gamma) if counts[i] + 1 < mu - counts[i]
-        )
         spread = (gamma - eta + 1) * (kun + 1)
-        threshold = k - (-spread // gamma)
-        ok = not dense_bad and mu >= threshold
+        threshold = counts[0] - (-spread // gamma)
+        ok = not dense_bad and sizes[0] >= threshold
         flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag(
             "holds" if ok else "fails", dense_bad
         )
 
-    dense_bad = tuple(
-        i + 1 for i in range(gamma) if counts[i] + 1 < sizes[i] - counts[i]
-    )
     ok = eta == 1 and not dense_bad
     flags[SINGLE_IDENTIFIABLE_CLASS] = ConditionFlag(
         "holds" if ok else "fails",
@@ -233,6 +224,8 @@ def sample_query_distribution(
     """Empirical projection distribution from running the actual generator."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise ValueError(f"seed must be at least 0, got {seed}")
     build = plan_builder(s, demands, mode)
     chooser = RandomChooser(random.Random(seed))
     counts: Counter = Counter()

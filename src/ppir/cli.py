@@ -8,8 +8,9 @@ Subcommands:
     ppir rates    scenario.json [--out report.json]
     ppir selftest
 
-Exit codes: 0 success, 2 parse error, a bad --demand / --runs value, a
-negative --seed, or an --out path or stdout that cannot be written, 3
+Exit codes: 0 success (``selftest``: 1 when a golden check fails), 2 parse
+error, a bad --demand / --runs value, a negative --seed, or an --out path or
+stdout that cannot be written (also a process started with stdout closed), 3
 validation refused (``rates`` validates too; also when the plan search
 exhausted its retries, or ``rates`` met parameters that contradict an
 advantage condition), 4 recovery failure (a decoded message differs from the
@@ -25,6 +26,7 @@ and the default code is used instead.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import stat
@@ -70,6 +72,8 @@ def _emit(text: str, out_path) -> int:
     """
     try:
         if not out_path:
+            if sys.stdout is None:  # the process started with descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
             return EXIT_OK
@@ -87,6 +91,8 @@ def _emit(text: str, out_path) -> int:
 
 def _silence_stdout() -> None:
     """Point stdout's descriptor at the null device, so the exit-time flush cannot fail a second time."""
+    if sys.stdout is None:  # descriptor 1 was closed at start-up: nothing is flushed at exit
+        return
     try:
         fd = sys.stdout.fileno()
     except (OSError, ValueError):  # an in-memory stream: nothing reaches a descriptor at exit
@@ -174,8 +180,10 @@ def cmd_rates(args) -> int:
 
 
 def cmd_selftest(_args) -> int:
-    failures = run_selftest()
-    return EXIT_OK if failures == 0 else 1
+    lines: list[str] = []
+    failures = run_selftest(lines.append)
+    written = _emit("".join(f"{line}\n" for line in lines), None)
+    return 1 if written == EXIT_OK and failures else written
 
 
 @functools.cache

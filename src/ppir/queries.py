@@ -24,8 +24,14 @@ exactly rejection sampling: the result is uniform over the valid realisations.
 demand in single mode, one per user in multi mode, each an existing class)
 and the collaborative helper partition, and picks the builder.  The
 generators, the distribution oracles and the census all start there.
-``check_plan`` checks demands the same way and re-derives the selection rules
-from the bare pairs; every protocol session runs it on its own plan.
+``check_plan`` checks demands the same way and judges every query from the
+bare pairs with one predicate, the collaborative assignment rule: a special
+class fresh for the query's owner, the other identifiable classes split into
+one block per user, each known to its user.  Single mode is that rule at one
+user: an identifiable demand is the special class of some query
+(``designated_query``), else the rotation names each query's special class
+(``per_query_assignment``, as in multi mode).  Every protocol session runs
+it on its own plan.
 """
 
 from __future__ import annotations
@@ -36,12 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    AssumptionViolated,
-    ExhaustedIndices,
-    OutOfRange,
-    PartitionInfeasible,
-)
+from .errors import AssumptionViolated, ExhaustedIndices, OutOfRange
 from .scenario import RuleResult, Scenario, ValidationReport, validate_scenario
 
 MAX_PLAN_ATTEMPTS = 1000
@@ -251,11 +252,7 @@ def plan_builder(s: Scenario, demands: tuple, mode: str):
     if mode == "single":
         v = demands[0]
         return lambda chooser: build_single_plan(s, v, chooser)
-    if not s.params.helpers_split_evenly:
-        raise PartitionInfeasible(
-            f"{s.identifiable_count - 1} helper classes cannot be split evenly "
-            f"across {s.user_count} users"
-        )
+    s.params.require_helpers_split_evenly()
     return lambda chooser: build_multi_plan(s, demands, chooser)
 
 
@@ -296,13 +293,16 @@ def generate_multi_user_plan(
 
 
 def _generate(s: Scenario, demands: tuple, mode: str, seed, rng, force: bool) -> QueryPlan:
+    if rng is None:
+        seed = s.seed if seed is None else seed
+        if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+            raise ValueError(f"seed must be at least 0, got {seed}")
+        rng = random.Random(seed)
     build = plan_builder(s, demands, mode)
     if not force:
         report = validate_scenario(s, mode)
         if not report.ok:
             raise AssumptionViolated(report)
-    if rng is None:
-        rng = random.Random(s.seed if seed is None else seed)
     return _retrying(build, RandomChooser(rng))
 
 
@@ -376,101 +376,67 @@ def check_plan(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) -> Valid
     """
     _check_demands(s, demands, mode)
     rules = _shape_rules(s, plan, mode)
-    # Only plans of the right shape reach the mode rules, which read class i's
-    # subclass index in a query as q.pairs[i - 1][1].
+    # Only plans of the right shape reach the assignment rule, which reads
+    # class i's subclass index in a query as q.pairs[i - 1][1].
     if all(r.passed for r in rules):
-        if mode == "single":
-            rules.extend(_single_rules(s, demands[0], plan))
-        else:
-            rules.extend(_multi_rules(s, demands, plan))
+        rules.append(_assignment_rule(s, demands, plan, mode))
     return ValidationReport(mode, tuple(rules))
 
 
-def _single_rules(s: Scenario, v: int, plan: QueryPlan) -> list[RuleResult]:
+def _assignment_rule(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) -> RuleResult:
+    """The collaborative assignment rule; at one user it is the single-user rule."""
     eta = s.identifiable_count
-    si = s.users[0]
-    if v <= eta:
-        witnesses = []
-        for q in plan.queries:
-            if q.pairs[v - 1][1] in si.known_indices(v):
-                continue
-            if all(
-                q.pairs[i - 1][1] in si.known_indices(i)
-                for i in range(1, eta + 1)
-                if i != v
-            ):
-                witnesses.append(q.index)
-        return [
-            RuleResult(
-                "designated_query",
-                bool(witnesses),
-                "some query pairs a fresh desired-class index with known indices "
-                "from every other identifiable class",
-                tuple(witnesses),
-            )
-        ]
-    bad_fresh = []
-    bad_known = []
+    users = 1 if mode == "single" else s.user_count
+    block = s.params.disclosed_known_count(mode)
+    # known[u - 1][i - 1]: user u's known subclass indices in identifiable class i
+    known = [[si.known_indices(i) for i in range(1, eta + 1)] for si in s.users[:users]]
+    designated = mode == "single" and demands[0] <= eta
+    fits = []
     for q in plan.queries:
-        t = (q.index - 1) % eta + 1
-        if q.pairs[t - 1][1] in si.known_indices(t):
-            bad_fresh.append((q.index, t))
-        for i in range(1, eta + 1):
-            if i != t and q.pairs[i - 1][1] not in si.known_indices(i):
-                bad_known.append((q.index, i))
-    return [
-        RuleResult(
-            "fresh_rotation",
-            not bad_fresh,
-            "the rotating identifiable class contributes an index outside the side information",
-            tuple(bad_fresh),
-        ),
-        RuleResult(
-            "known_pairs",
-            not bad_known,
-            "every other identifiable class contributes a known index",
-            tuple(bad_known),
-        ),
-    ]
-
-
-def _multi_rules(s: Scenario, demands, plan: QueryPlan) -> list[RuleResult]:
-    eta = s.identifiable_count
-    users = s.user_count
-    budget = s.params.per_user_known_budget
-    bad = []
-    for q in plan.queries:
-        u = query_owner(q.index, users)
-        if q.index <= users and demands[q.index - 1] <= eta:
-            candidates = [demands[q.index - 1]]
+        j = q.index
+        if mode == "single":
+            candidates = demands if designated else ((j - 1) % eta + 1,)
+        elif j <= users and demands[j - 1] <= eta:
+            candidates = (demands[j - 1],)
         else:
-            candidates = list(range(1, eta + 1))
-        if not any(_assignment_exists(s, q, v, u, budget) for v in candidates):
-            bad.append(q.index)
-    return [
-        RuleResult(
-            "per_query_assignment",
-            not bad,
-            "each query admits a special class (fresh for its owner) and a helper "
-            "partition whose blocks are known to their users",
-            tuple(bad),
+            candidates = range(1, eta + 1)
+        owner = query_owner(j, users)
+        fits.append(any(_assignment_exists(q, v, owner, known, block) for v in candidates))
+    if designated:
+        witnesses = tuple(q.index for q, fit in zip(plan.queries, fits) if fit)
+        return RuleResult(
+            "designated_query",
+            bool(witnesses),
+            "some query pairs a fresh desired-class index with known indices "
+            "from every other identifiable class",
+            witnesses,
         )
-    ]
+    bad = tuple(q.index for q, fit in zip(plan.queries, fits) if not fit)
+    return RuleResult(
+        "per_query_assignment",
+        not bad,
+        "each query admits a special class (fresh for its owner) and a helper "
+        "partition whose blocks are known to their users",
+        bad,
+    )
 
 
-def _assignment_exists(s: Scenario, q: Query, v: int, owner: int, budget: int) -> bool:
-    if q.pairs[v - 1][1] in s.users[owner - 1].known_indices(v):
+def _assignment_exists(q: Query, v: int, owner: int, known: list, block: int) -> bool:
+    """Class v's index in q is fresh for the owner, and the other identifiable classes
+    split into one block of ``block`` classes per user of ``known``, known to that user."""
+    if q.pairs[v - 1][1] in known[owner - 1][v - 1]:
         return False
-    helpers = [c for c in range(1, s.identifiable_count + 1) if c != v]
+    helpers = [c for c in range(1, len(known[0]) + 1) if c != v]
+    return _blocks_known(q, helpers, known, block)
 
-    def assign(remaining, user):
-        if user > s.user_count:
-            return not remaining
-        for block in itertools.combinations(remaining, budget):
-            if all(q.pairs[t - 1][1] in s.users[user - 1].known_indices(t) for t in block):
-                rest = [c for c in remaining if c not in block]
-                if assign(rest, user + 1):
-                    return True
-        return False
 
-    return assign(helpers, 1)
+def _blocks_known(q: Query, remaining: list, known: list, block: int) -> bool:
+    first, later = known[0], known[1:]
+    if not later:  # the last block is whatever remains
+        return len(remaining) == block and all(q.pairs[t - 1][1] in first[t - 1] for t in remaining)
+    for chosen in itertools.combinations(remaining, block):
+        if all(q.pairs[t - 1][1] in first[t - 1] for t in chosen):
+            rest = [c for c in remaining if c not in chosen]
+            if _blocks_known(q, rest, later, block):
+                return True
+    return False

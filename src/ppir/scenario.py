@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import MalformedScenario, OutOfRange, UnidentifiableAccess
+from .errors import MalformedScenario, OutOfRange, PartitionInfeasible, UnidentifiableAccess
 from .field import PrimeField
 
 
@@ -195,6 +195,14 @@ class RateParams:
         """True iff the identifiable_count - 1 helper classes of a collaborative
         query split into one equal block per user."""
         return (self.identifiable_count - 1) % self.user_count == 0
+
+    def require_helpers_split_evenly(self) -> None:
+        """Raise PartitionInfeasible unless the helpers split evenly: no collaborative plan exists then."""
+        if not self.helpers_split_evenly:
+            raise PartitionInfeasible(
+                f"{self.identifiable_count - 1} helper classes cannot be split evenly "
+                f"across {self.user_count} users"
+            )
 
     def disclosed_known_count(self, mode: str) -> int:
         """The single integer sent to the server: it fixes the code dimension only."""

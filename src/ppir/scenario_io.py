@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper
 from typing import Optional
 
@@ -182,10 +181,6 @@ def load_scenario(path) -> LoadedScenario:
     return scenario_from_dict(doc)
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def trace_to_dict(trace: SessionTrace) -> dict:
     disclosed, queries = trace.plan_view
     return {
@@ -213,7 +208,7 @@ def trace_to_dict(trace: SessionTrace) -> dict:
             for u in trace.users
         ],
         "downloaded_symbols": trace.downloaded_symbols,
-        "rate": _frac(trace.rate),
+        "rate": str(trace.rate),
     }
 
 
@@ -237,10 +232,10 @@ def rates_to_dict(params: RateParams) -> dict:
     """Each user's one-user rates, then the collaborative and naive rates of all users."""
     users = [params.single_user(u) for u in range(1, params.user_count + 1)]
     return {
-        "identified": [_frac(rate_isi(p)) for p in users],
-        "unidentified_baseline": [_frac(rate_usi(p)) for p in users],
-        "multi_user": _frac(rate_multi(params)),
-        "naive_multi_user": _frac(rate_naive_multi(params)),
+        "identified": [str(rate_isi(p)) for p in users],
+        "unidentified_baseline": [str(rate_usi(p)) for p in users],
+        "multi_user": str(rate_multi(params)),
+        "naive_multi_user": str(rate_naive_multi(params)),
     }
 
 
@@ -258,7 +253,7 @@ def privacy_to_dict(report: PrivacyReport) -> dict:
         "demand_choices": [list(d) for d in report.demand_choices],
         "non_repetition_checks": report.checks,
         "failures": report.failures,
-        "pass_rate": _frac(report.pass_rate),
+        "pass_rate": str(report.pass_rate),
         "witnesses": [
             {"demands": list(d), "trial": t, "repeats": [list(w) for w in ws]}
             for d, t, ws in report.witnesses
@@ -267,7 +262,7 @@ def privacy_to_dict(report: PrivacyReport) -> dict:
             "method": report.distribution.method,
             "samples": report.distribution.samples,
             "pairs": [
-                {"demands_a": list(a), "demands_b": list(b), "tv": _frac(tv)}
+                {"demands_a": list(a), "demands_b": list(b), "tv": str(tv)}
                 for a, b, tv in report.distribution.pairs
             ],
         },

@@ -395,8 +395,8 @@ def run_cli_closed_stdout(*args):
 
 @pytest.mark.parametrize(
     "command",
-    [("run", fixture("five_class.json"), "--demand", "1"), ("rates", fixture("five_class.json"))],
-    ids=["run", "rates"],
+    [("run", fixture("five_class.json"), "--demand", "1"), ("rates", fixture("five_class.json")), ("selftest",)],
+    ids=["run", "rates", "selftest"],
 )
 def test_closed_stdout_exits_2(command):
     proc = run_cli_closed_stdout(*command)
@@ -404,6 +404,30 @@ def test_closed_stdout_exits_2(command):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run", fixture("tiny_two_class.json"), "--demand", "1"),
+        ("audit", fixture("tiny_two_class.json"), "--runs", "1"),
+        ("rates", fixture("tiny_two_class.json")),
+        ("selftest",),
+    ],
+    ids=["run", "audit", "rates", "selftest"],
+)
+def test_started_without_stdout_exits_2(command):
+    # With descriptor 1 closed at start-up, Python sets sys.stdout to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppir", *command],
+        stderr=subprocess.PIPE,
+        text=True,
+        check=False,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout:"), proc.stderr
 
 
 # --out writes the document over the existing file and cuts a regular file to its length.

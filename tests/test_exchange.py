@@ -266,6 +266,15 @@ class TestRunSession:
             assert trace.downloaded_symbols == expect_d
             assert trace.rate == Fraction(s.store.symbols_per_message, expect_d)
 
+    def test_negative_seed_refused(self, six_class):
+        # random.Random(-7) draws what random.Random(7) draws, so seed -7 would replay seed 7.
+        s = six_class.scenario
+        with pytest.raises(ValueError, match="seed must be at least 0, got -7"):
+            run_session(s, 2, seed=-7)
+        negative = Scenario(s.store, s.class_map, s.users, s.identifiable_count, seed=-1)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            run_session(negative, 2)
+
 
 def test_session_generator_prefers_matching_explicit(five_class):
     s = five_class.scenario

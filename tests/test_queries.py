@@ -10,6 +10,7 @@ from helpers import (
     TWO_USER_BATCH_A,
     TWO_USER_BATCH_B,
     published_plan,
+    random_multi_scenario,
     random_single_scenario,
 )
 from ppir import (
@@ -333,3 +334,78 @@ def test_pick_fresh_empty_and_forced_pools():
     replay = _ReplayChooser([])
     assert replay.pick_fresh(4, {1, 2, 4}) == 3
     assert (replay.sizes, replay.path) == ([], [])
+
+
+def _reference_single_rules(s, v, plan):
+    """The single-user selection rules written out on their own: (passed, designated witnesses).
+
+    An identifiable demand v needs some query pairing a fresh class-v index with
+    known indices from every other identifiable class; those queries are the
+    witnesses.  Otherwise query j needs a fresh index in class (j - 1) mod eta + 1
+    and known indices in every other identifiable class.
+    """
+    eta = s.identifiable_count
+    known = s.users[0].known_indices
+
+    def admits(q, fresh):
+        index = dict(q.pairs)
+        return index[fresh] not in known(fresh) and all(
+            index[i] in known(i) for i in range(1, eta + 1) if i != fresh
+        )
+
+    if v <= eta:
+        witnesses = tuple(q.index for q in plan.queries if admits(q, v))
+        return bool(witnesses), witnesses
+    return all(admits(q, (q.index - 1) % eta + 1) for q in plan.queries), None
+
+
+def _replace_pairs(rng, s, plan):
+    """A copy of ``plan`` with 1-5 pairs given another in-range subclass index."""
+    queries = [list(q.pairs) for q in plan.queries]
+    for _ in range(rng.randint(1, 5)):
+        pairs = rng.choice(queries)
+        k = rng.randrange(len(pairs))
+        c = pairs[k][0]
+        pairs[k] = (c, rng.randint(1, s.class_map.sizes[c - 1]))
+    return plan_from_pairs(queries, plan.disclosed_known_count)
+
+
+def test_single_mode_matches_reference_rules():
+    # Single mode is the collaborative assignment rule at one user; it must
+    # pass and fail exactly the plans the single-user rules do, also when a
+    # scenario with more users is judged in forced single mode.
+    rng = random.Random(15)
+    outcomes = set()
+    for n in range(400):
+        s = random_single_scenario(rng) if n % 2 else random_multi_scenario(rng, rng.choice((2, 3)))
+        for v in range(1, s.class_count + 1):
+            honest = generate_single_user_plan(s, v, seed=rng.randrange(10**6), force=True)
+            for plan in [honest] + [_replace_pairs(rng, s, honest) for _ in range(3)]:
+                report = check_plan(s, (v,), plan, "single")
+                passed, witnesses = _reference_single_rules(s, v, plan)
+                distinct = audit_non_repetition(plan).ok
+                assert report.ok == (distinct and passed), (n, v, plan)
+                if distinct and witnesses is not None:
+                    (rule,) = [r for r in report.rules if r.name == "designated_query"]
+                    assert rule.witnesses == witnesses
+                outcomes.add(report.ok)
+    assert outcomes == {True, False}
+
+
+class TestNegativeSeed:
+    # random.Random(-s) draws what random.Random(s) draws: a negative seed would alias its absolute value.
+    def test_generators_refuse(self, five_class, two_user):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            generate_single_user_plan(five_class.scenario, 3, seed=-7)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            generate_multi_user_plan(two_user.scenario, (2, 3), seed=-1)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            sample_query_distribution(five_class.scenario, (3,), samples=2, seed=-1)
+
+    def test_scenario_seed_is_checked_unless_a_stream_is_given(self, tiny):
+        s = tiny.scenario
+        negative = Scenario(s.store, s.class_map, s.users, s.identifiable_count, seed=-1)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            generate_single_user_plan(negative, 1)
+        plan = generate_single_user_plan(negative, 1, rng=random.Random(1))
+        assert plan == generate_single_user_plan(s, 1, seed=1)
