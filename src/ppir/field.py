@@ -1,7 +1,6 @@
 """Exact arithmetic over prime fields GF(q).
 
-Only prime orders are supported; the order is capped at 2**31 - 1 so that
-products of canonical representatives stay below 2**62.
+Only prime orders are supported; the order is capped at MAX_ORDER = 2**31 - 1.
 """
 
 from __future__ import annotations
@@ -10,9 +9,9 @@ from dataclasses import dataclass
 
 from .errors import NonPrimeOrder, ZeroInverse
 
-# The cap bounds the slot width of the packed MDS codec: a sum of k < q products
-# below 2**62 stays below 2**93, inside one 128-bit slot of mds._combine.
-# Raising the cap means re-deriving that bound.
+# The packed MDS codec sizes its slots from q and k (mds._layout), so the cap
+# does not bound the codec.  It keeps GF(q) symbols inside the 64-bit words the
+# codec packs and unpacks, and inside the range where _is_prime is exact.
 MAX_ORDER = 2**31 - 1
 
 

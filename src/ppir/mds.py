@@ -16,12 +16,13 @@ multiplies a k x L message block by the k x (n - k) parity columns only, and
 decode_block inverts the known columns once (cached) and applies that inverse
 to the k x L block of known rows.  encode and decode_from_positions are their
 L = 1 cases.  Both block functions run through _combine, which packs each row
-of L symbols into one int with a 128-bit slot per symbol (Kronecker
-substitution), so an output row costs k big-int multiply-adds at C speed and
-one reduction per symbol.  The slots never carry into each other because
-field.MAX_ORDER caps q at 2**31 - 1: a product of a coefficient and a symbol
-in [0, q) is below 2**62, and a sum of k of them below 2**(62 + k.bit_length()).
-Any int symbol is accepted and counts as its residue mod q.
+of L symbols into one int with one slot per symbol (Kronecker substitution),
+so an output row costs k big-int multiply-adds and a packed Barrett reduction
+of all L slots at once, a fixed handful of big-int operations at C speed with
+no Python arithmetic per symbol.  The slot width is sized from q and k so that
+no slot sum and no Barrett product carries into the next slot: 64 bits for
+the bundled fixtures' q <= 13, 128 bits at q = 2**31 - 1 for every k < 2**17,
+and wider only for larger k.  Any int symbol is accepted and counts as its residue mod q.
 
 Codeword positions, like every index in this package, are 1-based.
 """
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from struct import Struct, error as StructError
 
 from .errors import (
     BadDimensions,
@@ -50,9 +50,6 @@ from .field import PrimeField
 # MDS_SAMPLE_COUNT random column subsets instead of exhaustively.
 EXHAUSTIVE_MINOR_LIMIT = 100_000
 MDS_SAMPLE_COUNT = 2_000
-
-# array("Q") holds native-order words; packed ints are little-endian on every host.
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -191,48 +188,91 @@ def decode_block(gen: Generator, positions, rows) -> tuple[tuple[int, ...], ...]
 def _combine(coefficients, rows, q: int) -> tuple[tuple[int, ...], ...]:
     """One output row per coefficient vector c: sum_i c[i] * rows[i] mod q.
 
-    Each input row is packed once into one int with a 128-bit slot per symbol
-    (_pack), so an output row is k big-int multiply-adds, skipping zero
-    coefficients, followed by one unpack and one reduction per symbol.
-    Slot l of the sum holds sum_i c[i] * rows[i][l] exactly: coefficients are
-    taken into [0, q) and packed symbols lie in [0, 2**64), so with
-    k < q <= 2**31 - 1 (field.MAX_ORDER) no slot reaches 2**126 and nothing
-    carries into the next one.  A slot is split into its low and high 64-bit words and reduced as
-    (hi * (2**64 mod q) + lo) mod q.
+    Each input row is packed once into one int of L slots (_pack), so an output
+    row is k big-int multiply-adds, skipping zero coefficients, then a packed
+    Barrett reduction of all L slots by a fixed handful of big-int operations,
+    then one unpack.  With b = q.bit_length() and B = 2b + k.bit_length():
+
+    - Coefficients are taken into [0, q) and packed symbols are below 2**b, so
+      slot l of the sum holds x = sum_i c[i] * rows[i][l] < k * 2**(2b) <= 2**B.
+    - A slot is S = 64 * ceil((2B - b + 1) / 64) bits (_layout).  With
+      m = 2**B // q < 2**(B - b + 1), each slot's x * m < 2**(2B - b + 1) fits
+      in its slot, so the packed product x * m carries nothing between slots.
+    - (x * m) >> B puts floor(x * m / 2**B), which is below 2**(B - b + 1), at
+      the bottom of slot l; the bits shifted in from slot l + 1 land from bit
+      S - B >= B - b + 1 upwards, by the same inequality, so they lie above
+      the B - b + 1 quotient bits that the mask keeps.  Since
+      2**B / q - 1 < m <= 2**B / q and x < 2**B, that quotient is floor(x / q)
+      or one less.
+    - Subtracting quotient * q leaves each slot in [0, 2q).  Adding
+      2**(b + 1) - q to every slot sets bit b + 1 exactly in the slots at or
+      above q (each sum stays below 2**(b + 2)), and one more subtraction of
+      q there leaves x mod q.  Every slot stays non-negative after each
+      subtraction, so no subtraction borrows from the next slot.
     """
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise LengthMismatch(f"rows of unequal length {sorted({len(row) for row in rows})}")
-    packed = [_pack(row, q) for row in rows]
-    wrap = (1 << 64) % q
+    slots, shift, magic, quotients, high, offset, ones = _layout(q, len(rows), width)
+    packed = [_pack(row, q, slots, high) for row in rows]
+    bits = q.bit_length() + 1
     out = []
     for coeffs in coefficients:
-        acc = 0
+        x = 0
         for c, p in zip(coeffs, packed):
             c %= q  # an unchecked Generator may hold entries outside [0, q)
             if c:
-                acc += c * p
-        words = array("Q", acc.to_bytes(16 * width, "little"))
-        if _BIG_ENDIAN:
-            words.byteswap()
-        out.append(tuple([(hi * wrap + lo) % q for lo, hi in zip(words[::2], words[1::2])]))
+                x += c * p
+        x -= ((x * magic >> shift) & quotients) * q
+        x -= (((x + offset) >> bits) & ones) * q
+        out.append(slots.unpack(x.to_bytes(slots.size, "little")))
     return tuple(out)
 
 
-def _pack(row, q: int) -> int:
-    """The row's symbols as one int, symbol l in bits [128 l, 128 l + 64).
+@lru_cache(maxsize=64)
+def _layout(q: int, k: int, width: int):
+    """Slot layout and masks for sums of k products mod q over rows of `width` symbols.
 
-    Symbols outside [0, 2**64) are reduced mod q first, which leaves every sum
-    of _combine unchanged mod q.
+    Returns (slots, B, 2**B // q, quotients, high, offset, ones): a Struct that
+    packs and unpacks `width` little-endian 64-bit words, one at the bottom of
+    each slot of S = 64 * ceil((2B - b + 1) / 64) bits (see _combine), then
+    Barrett's shift B and multiplier, and four ints holding one value in every
+    slot: a mask of the B - b + 1 quotient bits, a mask of the bits at or above
+    b (a symbol that _pack must reduce), 2**(b + 1) - q, and 1.
     """
-    words = array("Q", bytes(16 * len(row)))
+    b = q.bit_length()
+    shift = 2 * b + k.bit_length()
+    slot_bytes = 8 * -(-(2 * shift - b + 1) // 64)
+
+    def repeat(value):
+        return int.from_bytes(value.to_bytes(slot_bytes, "little") * width, "little")
+
+    return (
+        Struct("<" + f"Q{slot_bytes - 8}x" * width),
+        shift,
+        (1 << shift) // q,
+        repeat((1 << (shift - b + 1)) - 1),
+        repeat((1 << 8 * slot_bytes) - (1 << b)),
+        repeat((1 << (b + 1)) - q),
+        repeat(1),
+    )
+
+
+def _pack(row, q: int, slots: Struct, high: int) -> int:
+    """The row's symbols as one int, one symbol in the low 64 bits of each slot.
+
+    A row with a symbol outside [0, 2**b), b = q.bit_length(), is packed from
+    its residues mod q instead (found by struct.error or by the mask `high` of
+    the bits at or above b), which leaves every sum of _combine unchanged mod q
+    and keeps every packed symbol below 2**b.
+    """
     try:
-        words[::2] = array("Q", row)
-    except OverflowError:
-        words[::2] = array("Q", [m % q for m in row])
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return int.from_bytes(words, "little")
+        packed = int.from_bytes(slots.pack(*row), "little")
+        if not packed & high:
+            return packed
+    except StructError:  # a symbol below 0 or at or above 2**64
+        pass
+    return int.from_bytes(slots.pack(*[m % q for m in row]), "little")
 
 
 @lru_cache(maxsize=65536)

@@ -20,7 +20,9 @@ Scenario schema (all indices 1-based):
 
 Global message indices are assigned in listing order (class 1 first).
 "random" symbols expand deterministically from (seed, global index, symbol
-position); see scenario.random_symbol.
+position); see scenario.random_symbol.  A document whose store would hold
+more than MAX_STORE_SYMBOLS symbols (message count times symbols_per_message)
+is refused before any message is built.
 
 Trace, report, rates and validation documents all leave through dump_json in
 one canonical format, so identical inputs give byte-identical files: sorted
@@ -63,6 +65,11 @@ from .scenario import (
 
 TRACE_FORMAT = "ppir-trace/1"
 REPORT_FORMAT = "ppir-report/1"
+# The largest store a scenario document may describe, in symbols (F * L).  The
+# loader builds every message up front and each session reads whole messages,
+# so a larger store only ends in a run that exhausts time or memory.  The cap
+# admits F = 10**6 messages of L = 4 symbols, or 10**4 of L = 10**3.
+MAX_STORE_SYMBOLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,10 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         if not isinstance(members, list):
             raise MalformedScenario(f"class {i} must be an array of descriptors")
         sizes.append(len(members))
+    if sum(sizes) * length > MAX_STORE_SYMBOLS:
+        raise MalformedScenario(
+            f"store of {sum(sizes)} messages x {length} symbols exceeds {MAX_STORE_SYMBOLS} symbols"
+        )
     class_map = sequential_class_map(sizes)
 
     rows = []
@@ -173,10 +184,13 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
 
 
 def load_scenario(path) -> LoadedScenario:
+    # ValueError covers json.JSONDecodeError, UnicodeDecodeError (a file that is
+    # not UTF-8) and an integer literal past CPython's int-string digit limit;
+    # RecursionError is nesting too deep for the parser.
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedScenario(f"cannot parse {path}: {exc}") from exc
     return scenario_from_dict(doc)
 

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
-from ppir import load_scenario, validate_scenario
+from ppir import load_scenario, scenario_io, validate_scenario
 from ppir.cli import main
+from ppir.errors import MalformedScenario
 from ppir.fixtures import fixture_path
 from ppir.selftest import CHECKS, run_selftest
 
@@ -379,6 +381,72 @@ def test_negative_seed_exits_2(tmp_path, command):
     assert proc.stderr.splitlines() == ["error: --seed must be a non-negative integer"]
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def tiny_text(**changes):
+    """tiny_two_class as JSON text, with top-level keys replaced."""
+    doc = json.loads(fixture_path("tiny_two_class.json").read_text())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def command_on(command, path):
+    return {
+        "run": ("run", str(path), "--demand", "1"),
+        "audit": ("audit", str(path), "--runs", "1"),
+        "rates": ("rates", str(path)),
+    }[command]
+
+
+UNPARSABLE_FILES = {
+    "not-utf-8": b"\xff\xfe{",
+    # CPython refuses to convert an integer literal of more than 4,300 digits.
+    "5000-digit-seed": tiny_text(seed=7).replace('"seed": 7', '"seed": ' + "9" * 5000).encode(),
+    "deep-nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rates"])
+@pytest.mark.parametrize("name", list(UNPARSABLE_FILES))
+def test_unparsable_file_exits_2(tmp_path, name, command):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(UNPARSABLE_FILES[name])
+    proc = run_cli(*command_on(command, path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"parse error: cannot parse {path}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rates"])
+def test_oversized_store_exits_2_at_once(tmp_path, capsys, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(tiny_text(symbols_per_message=10**12))
+    start = time.perf_counter()
+    code = main(list(command_on(command, path)))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err == (
+        f"parse error: store of 4 messages x {10**12} symbols exceeds {scenario_io.MAX_STORE_SYMBOLS} symbols\n"
+    )
+    assert out == ""
+
+
+def test_store_cap_is_inclusive_and_checked_before_any_row(tmp_path, monkeypatch):
+    # tiny_two_class holds 4 all-"random" messages; a cap of 8 admits L = 2 but not L = 3.
+    monkeypatch.setattr(scenario_io, "MAX_STORE_SYMBOLS", 8)
+    path = tmp_path / "scenario.json"
+    path.write_text(tiny_text(symbols_per_message=2))
+    assert load_scenario(path).scenario.store.symbols_per_message == 2
+
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(scenario_io, "random_symbol", no_rows)
+    path.write_text(tiny_text(symbols_per_message=3))
+    with pytest.raises(MalformedScenario, match="exceeds 8 symbols"):
+        load_scenario(path)
 
 
 def run_cli_closed_stdout(*args):

@@ -11,7 +11,15 @@ once, but the 2,000-sample Monte Carlo that replaces it takes about a second
 per call.  A mutation only drops entries or puts in a value of at most 6
 leaves, so a mutated tiny_two_class keeps its enumeration tiny.
 
-A second test fuzzes the arguments instead of the document: on
+A second test fuzzes the bytes of the file instead of its JSON values: raw
+bytes, a fixture cut short or with bytes spliced in (not UTF-8, say), arrays
+and objects nested far past the parser's recursion limit, and integer
+literals of up to 10,000 digits, past CPython's 4,300-digit int-string limit,
+in place of a scalar of tiny_two_class.  Each file is run through ``run``
+(plain and ``--force``), ``rates`` and, unless it is a five_class document,
+``audit --runs 1``, under the same contract.
+
+A third test fuzzes the arguments instead of the document: on
 tiny_two_class it draws ``--seed``, ``--demand`` and ``--runs`` from the same
 integers and ``--out`` from a fresh file, an existing longer file,
 ``/dev/null``, a directory and a missing directory, then runs ``run`` (plain
@@ -35,10 +43,10 @@ from ppir.fixtures import fixture_path
 FIXTURES = ("tiny_two_class.json", "five_class.json")
 DOCUMENTS = {name: json.loads(fixture_path(name).read_text()) for name in FIXTURES}
 
-# Store building costs time linear in symbols_per_message, and an audit
-# linear in --runs; larger values would only make a call slow, never change
-# its exit code.
-MAX_SYMBOLS_PER_MESSAGE = 1000
+# An audit costs time linear in --runs, so the argument fuzz caps it to keep
+# each call quick.  symbols_per_message needs no cap: a store above
+# scenario_io.MAX_STORE_SYMBOLS is refused (exit 2) before any message is
+# built, and every drawn value is either at most 12 or far beyond that cap.
 MAX_RUNS = 12
 
 integers = st.one_of(
@@ -81,10 +89,7 @@ def mutated_documents(draw):
         if draw(st.booleans()):
             del parent[path[-1]]
             continue
-        value = draw(values)
-        if path == ("symbols_per_message",) and type(value) is int:
-            value = min(value, MAX_SYMBOLS_PER_MESSAGE)
-        parent[path[-1]] = value
+        parent[path[-1]] = draw(values)
     return name, doc
 
 
@@ -118,6 +123,57 @@ def test_mutated_documents_keep_exit_contract(case, demand):
         run = ["run", str(path), "--demand", str(demand)]
         commands = [run, run + ["--force"], ["rates", str(path)]]
         if name == "tiny_two_class.json":
+            commands.append(["audit", str(path), "--runs", "1"])
+        for argv in commands:
+            code, err = _main(argv)
+            assert code in {0, 2, 3, 4}, (argv[0], code, err)
+            assert "Traceback" not in err
+
+
+FIXTURE_BYTES = {name: fixture_path(name).read_bytes() for name in FIXTURES}
+TINY_SCALARS = ("field_order", "symbols_per_message", "eta", "seed")
+
+
+@st.composite
+def byte_documents(draw):
+    """(fixture name or None, raw bytes of a scenario file)."""
+    kind = draw(st.sampled_from(["raw", "truncated", "spliced", "nested", "digits"]))
+    if kind == "raw":
+        return None, draw(st.binary(max_size=64))
+    if kind == "nested":
+        opener = draw(st.sampled_from([b"[", b'{"a": ', b'{"classes": [']))
+        depth = draw(st.one_of(st.integers(1, 50), st.sampled_from([990, 1_000, 5_000, 100_000])))
+        return None, opener * depth
+    if kind == "digits":
+        key = draw(st.sampled_from(TINY_SCALARS))
+        sign = draw(st.sampled_from(["", "-"]))
+        # 4 to 6 nines as symbols_per_message describe a store of up to 4 * 10**6
+        # symbols, under the cap: a valid store that takes seconds to build.
+        digits = draw(st.one_of(st.integers(1, 3), st.integers(7, 30), st.sampled_from([4_300, 4_301, 10_000])))
+        doc = json.loads(FIXTURE_BYTES["tiny_two_class.json"])
+        doc[key] = 7
+        text = json.dumps(doc).replace(f'"{key}": 7', f'"{key}": {sign}' + "9" * digits)
+        return "tiny_two_class.json", text.encode()
+    name = draw(st.sampled_from(FIXTURES))
+    data = FIXTURE_BYTES[name]
+    cut = draw(st.integers(0, len(data)))
+    if kind == "truncated":
+        return name, data[:cut]
+    return name, data[:cut] + draw(st.binary(min_size=1, max_size=8)) + data[cut:]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=byte_documents())
+@example(case=(None, b"\xff\xfe{"))
+@example(case=(None, b"[" * 100_000))
+def test_file_bytes_keep_exit_contract(case):
+    name, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_bytes(data)
+        run = ["run", str(path), "--demand", "1"]
+        commands = [run, run + ["--force"], ["rates", str(path)]]
+        if name != "five_class.json":
             commands.append(["audit", str(path), "--runs", "1"])
         for argv in commands:
             code, err = _main(argv)

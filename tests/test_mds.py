@@ -367,3 +367,100 @@ class TestAnyIntSymbol:
         gen = _parity_generator(3, [[-1, 12, 2**64], [-(2**70), 0, 2**127]], q)
         message = [(3, 0, 10), (q - 1, 1, 2), (7, 7, 7)]
         assert parity_block(gen, message) == _reference_parity(gen, message)
+
+
+PACKED_FIELDS = [2, 3, 11, 65521, MAX_ORDER]
+
+
+def _assert_decodes(gen, positions, known):
+    """decode_block's message re-encodes, by the formula, to the known rows mod q."""
+    q = gen.field.order
+    decoded = decode_block(gen, positions, known)
+    assert all(0 <= v < q for row in decoded for v in row)
+    codeword = list(decoded) + list(_reference_parity(gen, decoded))
+    assert [codeword[p - 1] for p in positions] == [tuple(v % q for v in row) for row in known]
+
+
+class _ParityOnlyRow:
+    """Row i of an unchecked [I | c] generator too large to store: it serves
+    only len() and the parity slice row[k:] that parity_block reads."""
+
+    def __init__(self, k, parity):
+        self.k, self.parity = k, parity
+
+    def __len__(self):
+        return self.k + 1
+
+    def __getitem__(self, index):
+        assert index == slice(self.k, None), index
+        return (self.parity,)
+
+
+class TestPackedReduction:
+    """The packed Barrett reduction against the formula, across slot layouts,
+    residue inputs and both outcomes of its final conditional subtraction."""
+
+    @pytest.mark.parametrize("length", [1, 5, 64])
+    @pytest.mark.parametrize("q", PACKED_FIELDS)
+    def test_symbols_outside_canonical_range(self, q, length):
+        # Rows of [q, 2**b) symbols fit the 64-bit words but not the slot bound;
+        # rows beyond 2**64 or below 0 do not fit the words at all.
+        b = q.bit_length()
+        rng = random.Random(q + length)
+        draws = {
+            "canonical": lambda: rng.randrange(q),
+            "below_2_b": lambda: rng.choice((rng.randrange(q), rng.randrange(q, 1 << b))),
+            "below_2_64": lambda: rng.randrange(q, 1 << 64),
+            "beyond_2_64": lambda: rng.randrange(1 << 64, 1 << 130),
+            "negative": lambda: rng.randrange(-(1 << 70), 0),
+        }
+        k = len(draws)
+        message = [tuple(draw() for _ in range(length)) for draw in draws.values()]
+        message[1] = (rng.randrange(q, 1 << b),) + message[1][1:]  # at least one symbol in [q, 2**b)
+        columns = [[q - 1] * k, [rng.randrange(q) for _ in range(k)], [0] * k]
+        gen = _parity_generator(k, columns, q)
+        assert parity_block(gen, message) == _reference_parity(gen, message)
+        _assert_decodes(gen, [6, 1, 2, 3, 4], message)
+        _assert_decodes(gen, list(range(2, k + 2)), message)
+
+    @pytest.mark.parametrize("q", [3, 11, 65521, MAX_ORDER])
+    def test_sums_on_either_side_of_a_multiple_of_q(self, q):
+        # Slot l of the parity sums to c * (q t + d) for a column of all-c
+        # coefficients.  Barrett's quotient floor(x * (2**B // q) / 2**B) falls
+        # one short at every nonzero multiple of q but not at every sum beside
+        # one, so the final subtraction of q both runs and is skipped.  (At
+        # q = 2 the multiplier 2**B // q is exact and never falls short.)
+        k = 8
+        targets = [q * t + d for t in range(1, k) for d in (-1, 0, 1) if q * t + d <= k * (q - 1)]
+        columns = []
+        for target in targets:
+            column = []
+            for _ in range(k):
+                column.append(min(q - 1, target - sum(column)))
+            columns.append(column)
+        message = [tuple(column[i] for column in columns) for i in range(k)]
+        b = q.bit_length()
+        shift = 2 * b + k.bit_length()
+        sums = [c * t for c in (1, q - 1) for t in targets]
+        short = [x * ((1 << shift) // q) >> shift < x // q for x in sums]
+        assert all(is_short for is_short, x in zip(short, sums) if x % q == 0) and not all(short)
+        gen = _parity_generator(k, [[1] * k, [q - 1] * k], q)
+        assert parity_block(gen, message) == _reference_parity(gen, message)
+        _assert_decodes(gen, list(range(2, k + 2)), message)
+
+    @pytest.mark.parametrize("symbol", ["worst", "random"])
+    @pytest.mark.parametrize("q", [MAX_ORDER, 1_610_612_741])
+    def test_slot_wider_than_128_bits(self, q, symbol):
+        # k = 2**17 at a 31-bit q needs 2B - b + 1 = 131 bits per slot; two
+        # symbol positions, so that a slot has a neighbour to carry into.  Near
+        # 2**31 the Barrett multiplier 2**80 // q ends in about 18 zero bits
+        # (2**49 + 2**18 at q = 2**31 - 1), which would hide a slot one word
+        # short; at the prime 1,610,612,741, about 1.5 * 2**30, it does not.
+        k = 2**17
+        rng = random.Random(k)
+        draw = (lambda: q - 1) if symbol == "worst" else (lambda: rng.randrange(q))
+        coefficients = [draw() for _ in range(k)]
+        message = [(draw(), draw()) for _ in range(k)]
+        gen = Generator(PrimeField(q), tuple(_ParityOnlyRow(k, c) for c in coefficients))
+        expected = tuple(sum(c * row[ell] for c, row in zip(coefficients, message)) % q for ell in range(2))
+        assert parity_block(gen, message) == (expected,)
