@@ -78,10 +78,7 @@ def rate_multi(p: RateParams) -> Fraction:
 
 def rate_naive_multi(p: RateParams) -> Fraction:
     """Rate of serving each user with an independent single-user run."""
-    kun = p.max_unidentified_count
-    return Fraction(
-        1, p.user_count * (kun + 1) * (p.class_count - p.identifiable_count + 1)
-    )
+    return rate_isi(p) / p.user_count
 
 
 @dataclass(frozen=True)

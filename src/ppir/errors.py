@@ -30,7 +30,7 @@ class NotSystematic(PpirError):
 
 
 class NotMDS(PpirError):
-    """Explicit generator has a singular k-column submatrix."""
+    """Explicit generator is singular on a column set the decoder inverts, or has too many such sets to check."""
 
 
 class LengthMismatch(PpirError):
@@ -38,7 +38,7 @@ class LengthMismatch(PpirError):
 
 
 class SingularSubmatrix(PpirError):
-    """Erasure decoding hit a singular column set; the generator is corrupt."""
+    """Erasure decoding hit a singular column set: the generator is not MDS, and the load check does not cover that set."""
 
 
 # --- scenario model ---

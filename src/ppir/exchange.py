@@ -3,7 +3,7 @@
 For every query the server lines up the queried messages in ascending class
 order as a k x L block (one row per message, one column per symbol position)
 and returns only its parity block: the (n - k) x L product with the parity
-columns of the session's systematic MDS code.  Its inputs are limited by
+columns of the session's systematic code.  Its inputs are limited by
 signature to the store, the bare query pairs, the disclosed code-dimension
 hint, and the generator: neither demands nor side information can flow in.
 
@@ -26,12 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Optional
 
-from .errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
-from .mds import Generator, build_systematic_generator, decode_block, parity_block
+from .errors import DimensionMismatch, InsufficientKnowns, NotMDS, RecoveryFailed
+from .mds import Generator, build_systematic_generator, decode_block, parity_block, singular_column_set
 from .queries import Query, check_plan, generate_multi_user_plan, generate_single_user_plan
 from .scenario import ClassMap, MessageStore, Scenario
+
+MAX_DECODER_COLUMN_SETS = 2_000
 
 
 @dataclass(frozen=True)
@@ -87,33 +91,53 @@ def answer_query(
     return Answer(query.index, parity_block(generator, rows))
 
 
+def decoder_columns(known, generator: Generator) -> list[int]:
+    """The one column set decode_answer inverts for a query: the first
+    2k - n of the ``known`` systematic positions, then every parity position."""
+    return list(known)[: 2 * generator.k - generator.n] + list(range(generator.k + 1, generator.n + 1))
+
+
 def decode_answer(query: Query, answer: Answer, placeable: dict, generator: Generator) -> dict:
     """All queried messages, recovered from known coordinates plus parities.
 
     ``placeable`` maps each (class, subclass) pair the user can place (its
     side information in identifiable classes) to that message's symbols.
     Returns {(class, subclass): symbols} for every queried pair.  Raises
-    InsufficientKnowns when known systematic positions plus parity rows fall
-    short of the code dimension.
+    InsufficientKnowns when fewer than 2k - n systematic positions are known.
+    Inverts decoder_columns, so it reads every parity row even when more is known.
     """
     gamma = generator.k
     # Query pairs run one per class in ascending class order, so class i is systematic position i.
     known = {pair[0]: placeable[pair] for pair in query.pairs if pair in placeable}
-    parity_count = generator.n - gamma
-    if len(known) + parity_count < gamma:
-        raise InsufficientKnowns(f"{len(known)} known positions + {parity_count} parities < {gamma}")
-    positions = list(known)[:gamma]
-    positions += list(range(gamma + 1, gamma + 1 + (gamma - len(positions))))
+    if len(known) < 2 * gamma - generator.n:
+        raise InsufficientKnowns(f"{len(known)} known positions + {generator.n - gamma} parities < {gamma}")
+    positions = decoder_columns(known, generator)
     rows = [known[p] if p <= gamma else answer.parities[p - gamma - 1] for p in positions]
     messages = decode_block(generator, positions, rows)
     return {pair: messages[idx] for idx, pair in enumerate(query.pairs)}
 
 
+def check_decoder_columns(s: Scenario, generator: Generator) -> None:
+    """Raise NotMDS unless decode_answer can invert every set it may meet with this generator:
+    decoder_columns(S) for the C(eta, hint) hint-subsets S of 1..eta, when k is the class
+    count and hint = 2k - n >= 0; more than MAX_DECODER_COLUMN_SETS are refused before any inversion."""
+    hint = 2 * generator.k - generator.n
+    if generator.k != s.class_count or hint < 0:
+        return
+    eta = s.identifiable_count
+    if (count := comb(eta, hint)) > MAX_DECODER_COLUMN_SETS:
+        raise NotMDS(f"C({eta}, {hint}) = {count} decoder column sets exceed the {MAX_DECODER_COLUMN_SETS} checked")
+    sets = (decoder_columns(known, generator) for known in combinations(range(1, eta + 1), hint))
+    bad = singular_column_set(generator, sets)
+    if bad is not None:
+        raise NotMDS(f"singular decoder column set {bad}")
+
+
 def session_generator(s: Scenario, mode: str, explicit: Optional[Generator] = None) -> Generator:
-    """The session's code: a supplied explicit generator when its shape fits, else the default construction."""
+    """The session's code: a supplied explicit generator when its shape and field fit, else the default construction."""
     gamma = s.class_count
     n = s.params.code_length(mode)
-    if explicit is not None and explicit.k == gamma and explicit.n == n:
+    if explicit is not None and explicit.k == gamma and explicit.n == n and explicit.field == s.store.field:
         return explicit
     return build_systematic_generator(n, gamma, s.store.field)
 

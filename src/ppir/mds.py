@@ -7,9 +7,10 @@ It is computed with the codec's own primitives as V_k^-1 V, where V is the
 k x n Vandermonde matrix with rows x^e mod q and V_k its first k columns: one
 _column_inverse of V_k, then one _combine of that inverse with V's rows.
 Every k-column minor of V_k^-1 V is a nonzero Vandermonde minor over det V_k,
-so the code is MDS for every n <= q.  Erasure decoding recovers the message
-from any k codeword positions by inverting the corresponding column submatrix;
-no error correction is attempted.
+so the default code is MDS for every n <= q.  An explicit one is checked on
+the column sets a session's decoder inverts (exchange.check_decoder_columns).
+Erasure decoding recovers the message from k codeword positions by inverting
+their column submatrix; no error correction is attempted.
 
 The codec works on blocks of L symbol positions at once.  parity_block
 multiplies a k x L message block by the k x (n - k) parity columns only, and
@@ -30,26 +31,18 @@ Codeword positions, like every index in this package, are 1-based.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from struct import Struct, error as StructError
 
 from .errors import (
     BadDimensions,
     FieldTooSmall,
     LengthMismatch,
-    NotMDS,
     NotSystematic,
     SingularSubmatrix,
 )
 from .field import PrimeField
-
-# Explicit generators whose C(n, k) exceeds this bound are spot-checked on
-# MDS_SAMPLE_COUNT random column subsets instead of exhaustively.
-EXHAUSTIVE_MINOR_LIMIT = 100_000
-MDS_SAMPLE_COUNT = 2_000
 
 
 @dataclass(frozen=True)
@@ -82,12 +75,8 @@ def build_systematic_generator(n: int, k: int, field: PrimeField) -> Generator:
 
 
 def generator_from_explicit(rows, field: PrimeField) -> Generator:
-    """Validate and wrap an explicit generator matrix.
-
-    The matrix must be in systematic form and MDS.  The MDS property is checked
-    exhaustively when C(n, k) <= EXHAUSTIVE_MINOR_LIMIT, otherwise on
-    MDS_SAMPLE_COUNT seeded random column subsets.
-    """
+    """Wrap an explicit generator after checking its format only: dimensions,
+    entries in [0, q) and the identity in the first k columns; no minor."""
     k = len(rows)
     if k == 0:
         raise BadDimensions("empty matrix")
@@ -101,31 +90,20 @@ def generator_from_explicit(rows, field: PrimeField) -> Generator:
         for v in r:
             if type(v) is not int or not 0 <= v < q:
                 raise BadDimensions(f"entry {v!r} outside [0, {q})")
-    for i in range(k):
-        for j in range(k):
-            expect = 1 if i == j else 0
-            if rows[i][j] != expect:
-                raise NotSystematic(f"column block [1..{k}] is not the identity at ({i + 1},{j + 1})")
-    gen = Generator(field, tuple(tuple(r) for r in rows))
-    bad = _find_singular_subset(gen)
-    if bad is not None:
-        raise NotMDS(f"singular column set {bad}")
-    return gen
+    for i, r in enumerate(rows):
+        if list(r[:k]) != [int(i == j) for j in range(k)]:
+            raise NotSystematic(f"column block [1..{k}] is not the identity in row {i + 1}")
+    return Generator(field, tuple(tuple(r) for r in rows))
 
 
 def verify_mds(gen: Generator) -> bool:
-    """True iff every k-column submatrix is invertible (sampled for huge n-choose-k)."""
-    return _find_singular_subset(gen) is None
+    """True iff every k-column submatrix is invertible: the exhaustive check, C(n, k) inversions."""
+    return singular_column_set(gen, itertools.combinations(range(1, gen.n + 1), gen.k)) is None
 
 
-def _find_singular_subset(gen: Generator):
-    n, k = gen.n, gen.k
-    if comb(n, k) <= EXHAUSTIVE_MINOR_LIMIT:
-        subsets = itertools.combinations(range(1, n + 1), k)
-    else:
-        rng = random.Random(0xC0DE)
-        subsets = (tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(MDS_SAMPLE_COUNT))
-    for cols in subsets:
+def singular_column_set(gen: Generator, column_sets):
+    """The first of the ascending 1-based column sets whose submatrix is singular, else None."""
+    for cols in map(tuple, column_sets):
         try:
             _column_inverse(gen, cols)
         except SingularSubmatrix:

@@ -15,8 +15,8 @@ Scenario schema (all indices 1-based):
         {"side_information": [[3, 4, 7], [1, 2], ...],   // subclass indices per class
          "identified_classes": [1, 2, 3]}                // optional; must equal [1..eta]
       ],
-      "explicit_generator": [[...], ...]   // optional k x n matrix, validated on load
-    }
+      "explicit_generator": [[...], ...]   // optional systematic k x n matrix; minors checked
+    }                                      // on the decoder's sets only (exchange.check_decoder_columns)
 
 Global message indices are assigned in listing order (class 1 first).
 "random" symbols expand deterministically from (seed, global index, symbol
@@ -50,7 +50,7 @@ from .analytics import (
     rate_usi,
 )
 from .errors import MalformedScenario, PpirError
-from .exchange import SessionTrace
+from .exchange import SessionTrace, check_decoder_columns
 from .field import PrimeField
 from .mds import Generator, generator_from_explicit
 from .scenario import (
@@ -178,6 +178,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
             raise MalformedScenario("explicit_generator must be a matrix (array of rows)")
         try:
             explicit = generator_from_explicit(matrix, field)
+            check_decoder_columns(scenario, explicit)
         except PpirError as exc:
             raise MalformedScenario(f"bad explicit_generator: {exc}") from exc
     return LoadedScenario(scenario, explicit)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from ppir import load_scenario, scenario_io, validate_scenario
+from ppir import load_scenario, scenario_io, validate_scenario, verify_mds
 from ppir.cli import main
 from ppir.errors import MalformedScenario
 from ppir.fixtures import fixture_path
@@ -447,6 +448,72 @@ def test_store_cap_is_inclusive_and_checked_before_any_row(tmp_path, monkeypatch
     path.write_text(tiny_text(symbols_per_message=3))
     with pytest.raises(MalformedScenario, match="exceeds 8 symbols"):
         load_scenario(path)
+
+
+def rank_nine_parity_document():
+    """Ten classes, one identifiable, q = 2**31 - 1: the decoder inverts only the
+    all-parity columns 11..20, and the parity block's last row combines the others."""
+    q = 2**31 - 1
+    rng = random.Random(3)
+    parity = [[rng.randrange(q) for _ in range(10)] for _ in range(9)]
+    weights = [rng.randrange(1, q) for _ in range(9)]
+    parity.append([sum(w * row[j] for w, row in zip(weights, parity)) % q for j in range(10)])
+    return {
+        "field_order": q,
+        "symbols_per_message": 2,
+        "eta": 1,
+        "classes": [["random"] * 2 for _ in range(10)],
+        "users": [{"side_information": [[1]] + [[]] * 9}],
+        "explicit_generator": [[int(i == j) for j in range(10)] + parity[i] for i in range(10)],
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rates"])
+def test_generator_singular_on_a_decoder_set_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(rank_nine_parity_document()))
+    assert main(list(command_on(command, path))) == 2
+    out, err = capsys.readouterr()
+    assert err == f"parse error: bad explicit_generator: singular decoder column set {tuple(range(11, 21))}\n"
+    assert out == ""
+
+
+def test_generator_singular_only_off_the_decoder_sets_loads(tmp_path, capsys):
+    # five_class decodes from two of the identifiable columns 1..3 plus the
+    # parities 6..8.  A zero at row 5, column 6 makes columns (1, 2, 3, 4, 6)
+    # singular, and every such set holds an unidentifiable column.
+    doc = json.loads(fixture_path("five_class.json").read_text())
+    doc["explicit_generator"][4][5] = 0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    generator = load_scenario(path).explicit_generator
+    assert not verify_mds(generator)
+    for demand in range(1, 6):
+        assert main(["run", str(path), "--demand", str(demand), "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rates"])
+def test_too_many_decoder_sets_exits_2_at_once(tmp_path, capsys, command):
+    # 25 identifiable classes over 8 users disclose (25 - 1) / 8 = 3 known
+    # positions, so a [49, 26] generator has C(25, 3) = 2,300 decoder column sets.
+    k, n, q = 26, 49, 101
+    doc = {
+        "field_order": q,
+        "symbols_per_message": 1,
+        "eta": 25,
+        "classes": [["random"] * 4 for _ in range(k)],
+        "users": [{"side_information": [[1 + u % 4]] * k} for u in range(8)],
+        "explicit_generator": [[int(i == j) for j in range(k)] + [1 + (i * j) % (q - 1) for j in range(n - k)] for i in range(k)],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(list(command_on(command, path))) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert err == "parse error: bad explicit_generator: C(25, 3) = 2300 decoder column sets exceed the 2000 checked\n"
+    assert out == ""
 
 
 def run_cli_closed_stdout(*args):

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ppir.exchange as exchange
+import ppir.mds as mds
 import ppir.queries as queries
 from ppir import cli
-from helpers import FIVE_CLASS_DEMAND3_QUERIES, published_plan
+from helpers import FIVE_CLASS_DEMAND3_QUERIES, published_plan, random_single_scenario
 from ppir import (
     Answer,
     MessageStore,
@@ -16,15 +19,18 @@ from ppir import (
     check_plan,
     decode_answer,
     generate_single_user_plan,
+    generator_from_explicit,
     plan_from_pairs,
     run_session,
     sequential_class_map,
     session_generator,
 )
-from ppir.errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
+from ppir.errors import DimensionMismatch, InsufficientKnowns, MalformedScenario, NotMDS, RecoveryFailed
+from ppir.exchange import check_decoder_columns, decoder_columns
 from ppir.field import PrimeField
 from ppir.fixtures import fixture_path
 from ppir.queries import Query, QueryPlan
+from ppir.scenario_io import scenario_from_dict
 
 
 def _placeable(scenario, user=0):
@@ -87,15 +93,22 @@ class TestClientDecode:
         for pair, symbols in messages.items():
             assert symbols == s.store.symbols(s.class_map.pair_to_global(*pair))
 
-    def test_all_known_query_decodes_without_parities(self, fsi):
+    def test_all_known_query_still_reads_parities(self, fsi):
+        # The decoder inverts the first 2k - n = 2 known positions plus the
+        # parity even when all three are known, so a blanked parity row shows.
         s = fsi.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 1), (2, 1), (3, 2)))  # exactly the user's side information
         answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
-        blank = type(answer)(answer.query_index, tuple(tuple(0 for _ in row) for row in answer.parities))
-        messages = decode_answer(query, blank, _placeable(s), gen)
-        for pair, symbols in messages.items():
-            assert symbols == s.store.symbols(s.class_map.pair_to_global(*pair))
+        stored = {pair: s.store.symbols(s.class_map.pair_to_global(*pair)) for pair in query.pairs}
+        assert decode_answer(query, answer, _placeable(s), gen) == stored
+        blank = Answer(answer.query_index, tuple(tuple(0 for _ in row) for row in answer.parities))
+        assert decode_answer(query, blank, _placeable(s), gen) != stored
+
+    def test_decoder_columns_are_the_first_known_then_every_parity(self, five_class):
+        gen = five_class.explicit_generator  # [8, 5]: 2k - n = 2 known positions
+        assert decoder_columns({1: (), 3: ()}, gen) == [1, 3, 6, 7, 8]
+        assert decoder_columns({1: (), 2: (), 3: ()}, gen) == [1, 2, 6, 7, 8]
 
     def test_six_class_first_query_fully_decodable(self, six_class):
         # Two placeable side-information pairs plus four parity rows reach the
@@ -283,6 +296,77 @@ def test_session_generator_prefers_matching_explicit(five_class):
     # Shape mismatch falls back to the default construction.
     other = session_generator(s, "multi", five_class.explicit_generator)
     assert other.n == s.params.code_length("multi")
+
+
+def test_generator_over_another_field_falls_back(five_class):
+    s = five_class.scenario
+    other = build_systematic_generator(8, 5, PrimeField(13))
+    trace = run_session(s, 3, seed=5, explicit_generator=other)
+    assert trace == run_session(s, 3, seed=5)  # the default [8, 5] code over GF(11)
+    assert all(v < 11 for a in trace.answers for row in a.parities for v in row)
+
+
+class TestDecoderColumnCheck:
+    def test_checks_exactly_the_decoder_sets(self, five_class, monkeypatch):
+        seen = []
+
+        def record(gen, sets):
+            seen.extend(sets)
+
+        monkeypatch.setattr(exchange, "singular_column_set", record)
+        check_decoder_columns(five_class.scenario, five_class.explicit_generator)
+        assert seen == [[1, 2, 6, 7, 8], [1, 3, 6, 7, 8], [2, 3, 6, 7, 8]]
+
+    def test_set_count_refused_before_any_inversion(self, five_class, monkeypatch):
+        def no_inverse(*args):
+            raise AssertionError("a column set was inverted")
+
+        monkeypatch.setattr(mds, "_column_inverse", no_inverse)
+        monkeypatch.setattr(exchange, "MAX_DECODER_COLUMN_SETS", 2)
+        with pytest.raises(NotMDS, match=r"C\(3, 2\) = 3 decoder column sets exceed the 2 checked"):
+            check_decoder_columns(five_class.scenario, five_class.explicit_generator)
+
+    @pytest.mark.parametrize("n,k", [(7, 4), (11, 5)], ids=["k-not-class-count", "n-above-2k"])
+    def test_generator_no_session_uses_is_not_checked(self, five_class, n, k):
+        zero_parities = generator_from_explicit(
+            [[int(i == j) for j in range(k)] + [0] * (n - k) for i in range(k)], PrimeField(11)
+        )
+        check_decoder_columns(five_class.scenario, zero_parities)
+
+
+def _document(s: Scenario, q: int, generator_rows) -> dict:
+    """A scenario document of ``s`` over GF(q), its symbols taken mod q."""
+    return {
+        "field_order": q,
+        "symbols_per_message": s.store.symbols_per_message,
+        "eta": s.identifiable_count,
+        "seed": s.seed,
+        "classes": [
+            [[v % q for v in s.store.symbols(s.class_map.pair_to_global(i, b))] for b in range(1, size + 1)]
+            for i, size in enumerate(s.class_map.sizes, start=1)
+        ],
+        "users": [{"side_information": [sorted(ix) for ix in si.indices]} for si in s.users],
+        "explicit_generator": generator_rows,
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), q=st.sampled_from([5, 7, 11]), data=st.data())
+def test_loaded_generator_never_meets_a_singular_set(seed, q, data):
+    # Over small fields random parity blocks often have singular minors: the
+    # loader must refuse every generator that some demand's session cannot invert.
+    s = random_single_scenario(random.Random(seed))
+    gamma, n = s.class_count, s.params.code_length("single")
+    assume(n <= q)
+    parity = st.lists(st.integers(0, q - 1), min_size=n - gamma, max_size=n - gamma)
+    rows = [[int(i == j) for j in range(gamma)] + data.draw(parity) for i in range(gamma)]
+    try:
+        loaded = scenario_from_dict(_document(s, q, rows))
+    except MalformedScenario:
+        return
+    assert session_generator(loaded.scenario, "single", loaded.explicit_generator) is loaded.explicit_generator
+    for v in range(1, gamma + 1):
+        run_session(loaded.scenario, v, explicit_generator=loaded.explicit_generator)
 
 
 def test_default_generator_sessions_also_recover(six_class):

@@ -13,6 +13,7 @@ from ppir.errors import (
     NotMDS,
     NotSystematic,
 )
+from ppir.exchange import check_decoder_columns
 from ppir.field import MAX_ORDER, PrimeField
 from ppir.mds import (
     Generator,
@@ -24,6 +25,7 @@ from ppir.mds import (
     parity_block,
     verify_mds,
 )
+from ppir.scenario_io import scenario_from_dict
 from ppir.selftest import (
     GOLDEN_CODEWORD_1,
     GOLDEN_CODEWORD_2,
@@ -84,12 +86,6 @@ class TestConstruction:
                 )
                 assert build_systematic_generator(n, k, field).rows == expected, (n, k)
 
-    def test_sampled_minor_path_for_large_codes(self):
-        # C(40, 20) is far beyond the exhaustive limit; the sampled check must
-        # still accept a genuine Reed-Solomon generator.
-        gen = build_systematic_generator(40, 20, PrimeField(41))
-        assert verify_mds(gen)
-
 
 class TestExplicit:
     def test_published_matrix_accepted(self, golden):
@@ -97,9 +93,20 @@ class TestExplicit:
         assert verify_mds(golden)
 
     def test_zero_column_rejected(self):
+        # Two identifiable classes and 2k - n = 1: the decoder inverts columns
+        # (1, 3) and (2, 3), and the zero column 3 lies in both.
+        gen = generator_from_explicit([[1, 0, 0], [0, 1, 0]], PrimeField(11))
+        two_classes = scenario_from_dict(
+            {"field_order": 11, "symbols_per_message": 1, "eta": 2,
+             "classes": [["random", "random"]] * 2, "users": [{"side_information": [[1], [1]]}]}
+        ).scenario
         with pytest.raises(NotMDS) as err:
-            generator_from_explicit([[1, 0, 0], [0, 1, 0]], PrimeField(11))
-        assert "3" in str(err.value)  # names the singular column set
+            check_decoder_columns(two_classes, gen)
+        assert "(1, 3)" in str(err.value)  # names the singular column set
+
+    def test_format_check_only(self):
+        # generator_from_explicit checks no minor: a zero parity column passes it.
+        assert not verify_mds(generator_from_explicit([[1, 0, 0], [0, 1, 0]], PrimeField(11)))
 
     def test_swapped_columns_rejected(self):
         rows = [list(r) for r in GOLDEN_MATRIX]
