@@ -38,11 +38,10 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Optional
 
-from .errors import ConditionsInconsistent, TooLargeToEnumerate
+from .errors import ConditionsInconsistent, ExhaustedIndices, TooLargeToEnumerate
 from .queries import (
     Chooser,
     DeadEnd,
-    NonRepetitionResult,
     RandomChooser,
     _retrying,
     audit_non_repetition,
@@ -177,7 +176,8 @@ def query_distribution(
     Walks every branch of the builders' choice tree with uniform weight per
     pick; this is the brute-force oracle the Monte Carlo estimator is checked
     against.  Raises TooLargeToEnumerate past ``limit`` leaves; in single mode
-    that is known from the first leaf (see the module docstring).
+    that is known from the first leaf (see the module docstring).  Raises
+    ExhaustedIndices when every path dead-ends, as the retrying generators do.
     """
     build = plan_builder(s, demands, mode)
     results: dict = defaultdict(Fraction)
@@ -209,6 +209,8 @@ def query_distribution(
             break
         path[-1] += 1
         prefix = path
+    if not results:
+        raise ExhaustedIndices(f"every choice path dead-ends: no plan exists for demands {demands}")
     if dead:
         kept = 1 - dead
         return {k: v / kept for k, v in results.items()}

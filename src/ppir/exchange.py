@@ -134,10 +134,14 @@ def check_decoder_columns(s: Scenario, generator: Generator) -> None:
 
 
 def session_generator(s: Scenario, mode: str, explicit: Optional[Generator] = None) -> Generator:
-    """The session's code: a supplied explicit generator when its shape and field fit, else the default construction."""
+    """The session's code: a supplied explicit generator when its shape and field fit, else the default construction.
+
+    A fitting explicit generator passes check_decoder_columns first (NotMDS otherwise),
+    so a caller-built one cannot end a session mid-decode."""
     gamma = s.class_count
     n = s.params.code_length(mode)
     if explicit is not None and explicit.k == gamma and explicit.n == n and explicit.field == s.store.field:
+        check_decoder_columns(s, explicit)
         return explicit
     return build_systematic_generator(n, gamma, s.store.field)
 
@@ -157,7 +161,9 @@ def run_session(
     and decodes what it can; sessions are stateless, so decoded messages are
     not folded back into side information.  Raises RecoveryFailed when the
     plan breaks a selection rule of ``check_plan``, a decoded message differs
-    from the store, or a user gains no new message.
+    from the store, or a user gains no new message, and NotMDS (before the
+    server answers) when ``explicit_generator`` fits but some decoder column
+    set of it is singular.
     """
     if isinstance(demands, int):
         mode = "single"

@@ -6,9 +6,10 @@ is non-repetition: across the whole plan no class contributes the same
 subclass index twice, whatever the desired class was.
 
 Every "pick one element of this set" step goes through a Chooser, so the same
-builder code is driven three ways: a seeded RNG for protocol runs, exhaustive
-tree walks for the exact distribution oracle, and recorded replays for Monte
-Carlo audits.  Picks index pick sets in sorted order, and fresh subclass
+builder code is driven two ways: seeded uniform draws (``RandomChooser``) for
+protocol runs, the census and Monte Carlo audits, and replayed choice prefixes
+for the exact distribution oracle's tree walk (``analytics``).  Picks index
+pick sets in sorted order, and fresh subclass
 indices are found as ranks in that order without building the set; the pick
 sequence is fixed (documented on each builder), which makes generation a pure
 function of (scenario, demands, seed).
@@ -30,8 +31,11 @@ class fresh for the query's owner, the other identifiable classes split into
 one block per user, each known to its user.  Single mode is that rule at one
 user: an identifiable demand is the special class of some query
 (``designated_query``), else the rotation names each query's special class
-(``per_query_assignment``, as in multi mode).  Every protocol session runs
-it on its own plan.
+(``per_query_assignment``, as in multi mode).  Whether a query admits such an
+assignment is decided by one bipartite matching of its identifiable classes
+to seats (the special seat and each user's block seats), found by augmenting
+paths in time polynomial in eta.  Every protocol session runs it on its own
+plan.
 """
 
 from __future__ import annotations
@@ -400,8 +404,7 @@ def _assignment_rule(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) ->
             candidates = (demands[j - 1],)
         else:
             candidates = range(1, eta + 1)
-        owner = query_owner(j, users)
-        fits.append(any(_assignment_exists(q, v, owner, known, block) for v in candidates))
+        fits.append(_seats_filled(q, candidates, query_owner(j, users), known, block))
     if designated:
         witnesses = tuple(q.index for q, fit in zip(plan.queries, fits) if fit)
         return RuleResult(
@@ -421,22 +424,37 @@ def _assignment_rule(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) ->
     )
 
 
-def _assignment_exists(q: Query, v: int, owner: int, known: list, block: int) -> bool:
-    """Class v's index in q is fresh for the owner, and the other identifiable classes
-    split into one block of ``block`` classes per user of ``known``, known to that user."""
-    if q.pairs[v - 1][1] in known[owner - 1][v - 1]:
+def _seats_filled(q: Query, candidates, owner: int, known: list, block: int) -> bool:
+    """Whether every identifiable class takes one seat in a bipartite matching,
+    found by augmenting paths (Kuhn's algorithm): seat 0, the special class, takes
+    one candidate whose index in q is fresh for the owner, and seat u takes
+    ``block`` classes whose index user u of ``known`` knows."""
+    eta = len(known[0])
+    if eta != 1 + len(known) * block:
         return False
-    helpers = [c for c in range(1, len(known[0]) + 1) if c != v]
-    return _blocks_known(q, helpers, known, block)
+    seats = []  # seats[c]: the seats open to class c + 1
+    for c, (_, beta) in enumerate(q.pairs[:eta]):
+        open_to_c = [u for u, row in enumerate(known, start=1) if beta in row[c]]
+        if c + 1 in candidates and beta not in known[owner - 1][c]:
+            open_to_c.insert(0, 0)
+        seats.append(open_to_c)
+    free = [1] + [block] * len(known)
+    holders: list[list] = [[] for _ in free]
+    return all(_augment(c, seats, free, holders, set()) for c in range(eta))
 
 
-def _blocks_known(q: Query, remaining: list, known: list, block: int) -> bool:
-    first, later = known[0], known[1:]
-    if not later:  # the last block is whatever remains
-        return len(remaining) == block and all(q.pairs[t - 1][1] in first[t - 1] for t in remaining)
-    for chosen in itertools.combinations(remaining, block):
-        if all(q.pairs[t - 1][1] in first[t - 1] for t in chosen):
-            rest = [c for c in remaining if c not in chosen]
-            if _blocks_known(q, rest, later, block):
+def _augment(c: int, seats: list, free: list, holders: list, visited: set) -> bool:
+    """Seat class c + 1 in a free seat, or in a seat one of whose holders moves on.
+    Each seat is visited once, so the recursion is at most one level per seat."""
+    for t in seats[c]:
+        if t not in visited:
+            visited.add(t)
+            if free[t]:
+                free[t] -= 1
+                holders[t].append(c)
                 return True
+            for k, d in enumerate(holders[t]):
+                if _augment(d, seats, free, holders, visited):
+                    holders[t][k] = c
+                    return True
     return False

@@ -86,9 +86,10 @@ def random_single_scenario(rng: random.Random) -> Scenario:
     return Scenario(store, sequential_class_map(sizes), (si,), eta, seed=rng.randrange(10**6))
 
 
-def random_multi_scenario(rng: random.Random, users: int = 2) -> Scenario:
-    """Random collaborative scenario strictly inside the scheme's assumptions."""
-    eta = 1 + users * rng.randint(1, 1 if users > 1 else 2)
+def random_multi_scenario(rng: random.Random, users: int = 2, block: int = 0) -> Scenario:
+    """Random collaborative scenario strictly inside the scheme's assumptions,
+    with ``block`` helper classes per user when given (else drawn)."""
+    eta = 1 + users * (block or rng.randint(1, 1 if users > 1 else 2))
     gamma = eta + rng.randint(1, 2)
     kun = rng.randint(users - 1, 2)
     per_user = []
@@ -111,3 +112,19 @@ def random_multi_scenario(rng: random.Random, users: int = 2) -> Scenario:
         for counts in per_user
     )
     return Scenario(store, sequential_class_map(sizes), sis, eta, seed=rng.randrange(10**6))
+
+
+def wide_helper_document() -> dict:
+    """Three users, 23 classes of 12 messages, eta = 22 (helper blocks of 7),
+    q = 41, L = 1.  In every identifiable class user 1 holds all indices but 1,
+    user 2 all but 2 and user 3 only {3, 4, 5}; all three hold {1, 2} in class 23.
+    It passes multi validation, and its helper partitions are too many to list."""
+    held = [[b for b in range(1, 13) if b != 1], [b for b in range(1, 13) if b != 2], [3, 4, 5]]
+    return {
+        "classes": [["random"] * 12 for _ in range(23)],
+        "eta": 22,
+        "field_order": 41,
+        "seed": 0,
+        "symbols_per_message": 1,
+        "users": [{"side_information": [h] * 22 + [[1, 2]]} for h in held],
+    }

@@ -28,8 +28,9 @@ from ppir.analytics import (
     _ReplayChooser,
 )
 from ppir import Scenario, SideInformation, random_store, run_session, sequential_class_map
-from ppir.errors import PartitionInfeasible, TooLargeToEnumerate
-from ppir.queries import DeadEnd, plan_builder
+from ppir.errors import ExhaustedIndices, PartitionInfeasible, TooLargeToEnumerate
+import ppir.queries as queries
+from ppir.queries import DeadEnd, Query, QueryPlan, plan_builder
 from ppir.field import PrimeField
 
 FIVE = RateParams(5, 3, (7, 6, 8, 9, 9), ((3, 4, 5, 2, 3),))
@@ -252,6 +253,44 @@ class TestDistributionOracle:
         assert 0 <= tv <= 1
 
 
+class TestDeadEnds:
+    """Classes (2, 2, 3), eta = 3, two users: SI1 = ({1, 2}, {1, 2}, {1, 2}) and
+    SI2 = ({}, {1}, {}).  It fails multi validation, which the oracles do not require."""
+
+    @pytest.fixture
+    def s(self):
+        sizes = (2, 2, 3)
+        f = frozenset
+        users = (SideInformation(3, (f({1, 2}), f({1, 2}), f({1, 2}))), SideInformation(3, (f(), f({1}), f())))
+        return Scenario(random_store(PrimeField(7), sizes, 1, 0), sequential_class_map(sizes), users, 3, 0)
+
+    @pytest.mark.parametrize("demands", [(1, 1), (2, 3)])
+    def test_no_plan_is_refused_not_reported_empty(self, s, demands):
+        # Every path dead-ends: no distribution exists, as the sampler and the census find.
+        with pytest.raises(ExhaustedIndices, match="every choice path dead-ends"):
+            query_distribution(s, demands, "multi")
+        with pytest.raises(ExhaustedIndices):
+            sample_query_distribution(s, demands, "multi", samples=1)
+        with pytest.raises(ExhaustedIndices):
+            privacy_report(s, "multi", runs=1)
+
+    def test_report_without_census_is_refused_too(self, s):
+        # Without the census only the oracle sees that (1, 1) has no plan, and a
+        # report must not give TV 0 between demands that have no plan at all.
+        with pytest.raises(ExhaustedIndices):
+            privacy_report(s, "multi", runs=0)
+
+    def test_dead_mass_is_renormalised(self, s):
+        # One query: special class 3 (index 3), then user 1's block is class 1 or
+        # class 2.  Class 2 leaves class 1 to user 2, who knows no index there: dead.
+        # Four leaves of weight 1/4, two of them dead.
+        assert leaf_sizes(plan_builder(s, (3, 1), "multi")) == [4, 4, 4, 4]
+        assert query_distribution(s, (3, 1), "multi") == {
+            (1, (((1, 1), (2, 1), (3, 3)),)): Fraction(1, 2),
+            (1, (((1, 2), (2, 1), (3, 3)),)): Fraction(1, 2),
+        }
+
+
 def leaf_sizes(build):
     """Size product of every leaf of the builder's choice tree, in walk order."""
     products = []
@@ -397,3 +436,28 @@ class TestPrivacyReport:
         a = privacy_report(tiny.scenario, "single", runs=20, base_seed=9)
         b = privacy_report(tiny.scenario, "single", runs=20, base_seed=9)
         assert a == b
+
+
+def test_census_counts_failures_and_keeps_ten_witnesses(five_class, monkeypatch):
+    # The single-user builder, except that for odd demands query 2 reuses
+    # query 1's index in the last class.
+    honest = queries.build_single_plan
+
+    def repeat(s, desired_class, chooser):
+        plan = honest(s, desired_class, chooser)
+        if desired_class % 2 == 0:
+            return plan
+        first, second = plan.queries[:2]
+        bad = Query(second.index, second.pairs[:-1] + first.pairs[-1:])
+        return QueryPlan((first, bad) + plan.queries[2:], plan.disclosed_known_count)
+
+    monkeypatch.setattr(queries, "build_single_plan", repeat)
+    report = privacy_report(five_class.scenario, "single", runs=4, enum_limit=10, mc_samples=2)
+    assert (report.checks, report.failures) == (20, 12)
+    assert report.pass_rate == Fraction(2, 5)
+    assert [(demands, trial) for demands, trial, _ in report.witnesses] == [
+        ((v,), t) for v in (1, 3, 5) for t in range(4)
+    ][:10]
+    for _, _, repeats in report.witnesses:
+        ((c, _, a, b),) = repeats
+        assert (c, a, b) == (5, 1, 2)

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from helpers import wide_helper_document
 from ppir import load_scenario, scenario_io, validate_scenario, verify_mds
 from ppir.cli import main
 from ppir.errors import MalformedScenario
@@ -15,9 +16,9 @@ from ppir.fixtures import fixture_path
 from ppir.selftest import CHECKS, run_selftest
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "ppir", *args], capture_output=True, text=True, check=False
+        [sys.executable, "-m", "ppir", *args], capture_output=True, text=True, check=False, timeout=timeout
     )
 
 
@@ -200,6 +201,17 @@ class TestRun:
         proc = run_cli("run", fixture("five_class.json"), "--demand", "1")
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_many_helper_partitions_run(self, tmp_path):
+        # eta = 22 across three users: the plan check must not try every helper
+        # partition (a timeout fails the test rather than hanging it).
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_helper_document()))
+        out = tmp_path / "trace.json"
+        demands = ["--demand", "23"] * 3
+        proc = run_cli("run", str(path), *demands, "--seed", "1", "--out", str(out), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["demands"] == [23, 23, 23]
 
     def test_demand_required(self):
         assert run_cli("run", fixture("five_class.json")).returncode == 2

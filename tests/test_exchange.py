@@ -306,6 +306,20 @@ def test_generator_over_another_field_falls_back(five_class):
     assert all(v < 11 for a in trace.answers for row in a.parities for v in row)
 
 
+def test_caller_built_singular_generator_refused_before_answers(five_class, monkeypatch):
+    # Parity column 6 zeroed: the decoder set (1, 2, 6, 7, 8) is singular.  A
+    # library caller skips the loader, so the session itself must refuse it.
+    gen = five_class.explicit_generator
+    zeroed = generator_from_explicit([row[:5] + (0,) + row[6:] for row in gen.rows], gen.field)
+
+    def no_answer(*args):
+        raise AssertionError("the server answered")
+
+    monkeypatch.setattr(exchange, "answer_query", no_answer)
+    with pytest.raises(NotMDS, match=r"singular decoder column set \(1, 2, 6, 7, 8\)"):
+        run_session(five_class.scenario, 3, seed=5, explicit_generator=zeroed)
+
+
 class TestDecoderColumnCheck:
     def test_checks_exactly_the_decoder_sets(self, five_class, monkeypatch):
         seen = []

@@ -1,4 +1,7 @@
+import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,9 @@ from helpers import (
     published_plan,
     random_multi_scenario,
     random_single_scenario,
+    wide_helper_document,
 )
+import ppir.queries as queries
 from ppir import (
     Scenario,
     SideInformation,
@@ -27,6 +32,7 @@ from ppir import (
     random_store,
     sample_query_distribution,
     sequential_class_map,
+    validate_scenario,
 )
 from ppir.analytics import _ReplayChooser
 from ppir.errors import (
@@ -36,7 +42,8 @@ from ppir.errors import (
     PartitionInfeasible,
 )
 from ppir.field import PrimeField
-from ppir.queries import DeadEnd, RandomChooser
+from ppir.queries import DeadEnd, RandomChooser, build_multi_plan
+from ppir.scenario_io import scenario_from_dict
 
 
 class TestPublishedTranscripts:
@@ -409,3 +416,97 @@ class TestNegativeSeed:
             generate_single_user_plan(negative, 1)
         plan = generate_single_user_plan(negative, 1, rng=random.Random(1))
         assert plan == generate_single_user_plan(s, 1, seed=1)
+
+
+def _reference_blocks_known(q, remaining, known, block):
+    first, later = known[0], known[1:]
+    if not later:  # the last block is whatever remains
+        return len(remaining) == block and all(q.pairs[t - 1][1] in first[t - 1] for t in remaining)
+    for chosen in itertools.combinations(remaining, block):
+        if all(q.pairs[t - 1][1] in first[t - 1] for t in chosen):
+            rest = [c for c in remaining if c not in chosen]
+            if _reference_blocks_known(q, rest, later, block):
+                return True
+    return False
+
+
+def _reference_seats_filled(q, candidates, owner, known, block):
+    """The assignment rule by exhaustive search: some candidate special class whose
+    index in q is fresh for the owner, and some split of the other identifiable
+    classes into one block of ``block`` classes per user, each known to its user."""
+
+    def admits(v):
+        if q.pairs[v - 1][1] in known[owner - 1][v - 1]:
+            return False
+        return _reference_blocks_known(q, [c for c in range(1, len(known[0]) + 1) if c != v], known, block)
+
+    return any(admits(v) for v in candidates)
+
+
+def test_matching_matches_reference_search(monkeypatch):
+    # The matching must give the whole report that trying every candidate special
+    # class and every helper partition gives: in multi mode and in forced single
+    # mode, on honest plans and on plans with replaced pairs.
+    rng = random.Random(20)
+    matching = queries._seats_filled
+    outcomes = set()
+    for n in range(160):
+        users = 2 + n % 2
+        s = random_multi_scenario(rng, users, block=1 + n // 2 % 2)
+        space = list(itertools.product(range(1, s.class_count + 1), repeat=users))
+        for demands in rng.sample(space, 3):
+            seed = rng.randrange(10**6)
+            for mode, judged, honest in (
+                ("multi", demands, generate_multi_user_plan(s, demands, seed=seed, force=True)),
+                ("single", demands[:1], generate_single_user_plan(s, demands[0], seed=seed, force=True)),
+            ):
+                for plan in [honest] + [_replace_pairs(rng, s, honest) for _ in range(3)]:
+                    monkeypatch.setattr(queries, "_seats_filled", _reference_seats_filled)
+                    reference = check_plan(s, judged, plan, mode)
+                    monkeypatch.setattr(queries, "_seats_filled", matching)
+                    assert check_plan(s, judged, plan, mode) == reference, (n, mode, judged, plan)
+                    outcomes.add((mode, reference.ok))
+    assert outcomes == {(mode, ok) for mode in ("multi", "single") for ok in (True, False)}
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test, rather than hang it, if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_check_plan_with_many_helper_partitions_is_quick():
+    # eta = 22 and three users: C(21, 7) * C(14, 7) helper partitions per special
+    # class, far too many to try one by one.
+    s = scenario_from_dict(wide_helper_document()).scenario
+    assert validate_scenario(s, "multi").ok
+    demands = (23, 23, 23)
+    for seed in range(4):
+        plan = generate_multi_user_plan(s, demands, seed=seed)
+        with deadline(1.0):
+            report = check_plan(s, demands, plan, "multi")
+        assert report.ok, seed
+
+
+def test_stand_in_dead_end_draws_nothing():
+    # Every identifiable class is used up for the only user, so the stand-in for
+    # an unidentifiable demand dead-ends before any class is drawn.
+    sizes = (2, 2, 2)
+    si = SideInformation(2, (frozenset({1, 2}), frozenset({1, 2}), frozenset()))
+    s = Scenario(random_store(PrimeField(7), sizes, 1, 0), sequential_class_map(sizes), (si,), 2, 0)
+    chooser = _ReplayChooser([])
+    with pytest.raises(DeadEnd):
+        build_multi_plan(s, (3,), chooser)
+    assert chooser.sizes == []
+    with pytest.raises(ExhaustedIndices):
+        query_distribution(s, (3,), "multi")
