@@ -9,17 +9,21 @@ Every "pick one element of this set" step goes through a Chooser, so the same
 builder code is driven two ways: seeded uniform draws (``RandomChooser``) for
 protocol runs, the census and Monte Carlo audits, and replayed choice prefixes
 for the exact distribution oracle's tree walk (``analytics``).  Picks index
-pick sets in sorted order, and fresh subclass
-indices are found as ranks in that order without building the set; the pick
-sequence is fixed (documented on each builder), which makes generation a pure
-function of (scenario, demands, seed).
+pick sets in sorted order.  Fresh subclass indices, and helper blocks in
+``itertools.combinations`` order, are found as ranks in that order without
+building the set: a fresh pick steps once over its exclusions and a block
+pick once over the items, whatever the set's size.  The pick sequence is
+fixed (documented on each builder), which makes generation a pure function
+of (scenario, demands, seed).
 
 Builders raise an internal dead-end signal when a pick set runs empty; the
 public generators then retry the whole plan with fresh draws from the same
-stream.  On scenarios that validate, the single-user builder provably never
-dead-ends (the designated query is built first) and the collaborative builder
-dead-ends only on contrived side-information overlaps, where retrying is
-exactly rejection sampling: the result is uniform over the valid realisations.
+stream.  Retrying is exactly rejection sampling: the result is uniform over
+the valid realisations.  On scenarios that validate, the single-user builder
+provably never dead-ends (the designated query is built first).  Multi-mode
+validation is not yet sufficient (ROADMAP item 3): some scenarios pass it on
+which every collaborative attempt dead-ends, and the generators raise
+ExhaustedIndices there.
 
 ``plan_builder`` is the one plan entry: it checks the demand tuple (one
 demand in single mode, one per user in multi mode, each an existing class)
@@ -40,10 +44,10 @@ plan.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import AssumptionViolated, ExhaustedIndices, OutOfRange
@@ -60,25 +64,40 @@ class Chooser:
     """One-of-many selection hook; subclasses decide how the index is picked."""
 
     def pick(self, options: Sequence):
-        if not options:
-            raise DeadEnd
-        if len(options) == 1:
-            return options[0]
-        return options[self._pick_index(len(options))]
+        return options[self._rank(len(options))]
 
     def pick_fresh(self, size: int, *excluded) -> int:
         """``pick`` over [1, size] minus the excluded sets, without building that pool:
         the same draw picks the same rank, which steps past each excluded index at or below it."""
         gaps = sorted(set().union(*excluded))
-        n = size - len(gaps)
-        if n == 0:
-            raise DeadEnd
-        value = 1 if n == 1 else self._pick_index(n) + 1
+        value = self._rank(size - len(gaps)) + 1
         for gap in gaps:
             if gap > value:
                 break
             value += 1
         return value
+
+    def pick_block(self, items: Sequence, size: int) -> tuple:
+        """``pick(list(itertools.combinations(items, size)))`` without listing the blocks:
+        the same draw picks the same rank, unranked in that lexicographic order."""
+        rank = self._rank(comb(len(items), size))
+        block = []
+        for i, item in enumerate(items):
+            if len(block) == size:
+                break
+            # blocks that take ``item`` next, among those that agree with ``block`` so far
+            taking = comb(len(items) - i - 1, size - len(block) - 1)
+            if rank < taking:
+                block.append(item)
+            else:
+                rank -= taking
+        return tuple(block)
+
+    def _rank(self, n: int) -> int:
+        """One rank below n: a dead end at 0, no draw at 1, else one ``_pick_index``."""
+        if n == 0:
+            raise DeadEnd
+        return 0 if n == 1 else self._pick_index(n)
 
     def _pick_index(self, n: int) -> int:
         raise NotImplementedError
@@ -178,6 +197,9 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
     its fresh subclass index, then the helper-block partition user by user, the
     helpers' known indices (users ascending, classes ascending inside a block),
     and finally fresh indices for the remaining classes in ascending order.
+    A block is one ``pick_block`` over the helpers not yet assigned: it draws
+    what a pick from their listed combinations would, so the pick sequence, and
+    every plan, is that of a builder that lists the blocks.
     """
     eta = s.identifiable_count
     gamma = s.class_count
@@ -185,12 +207,13 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
     sizes = s.class_map.sizes
     budget = s.params.per_user_known_budget
     total = s.params.query_count
+    # known[u - 1][i - 1]: user u's known subclass indices in identifiable class i
+    known = [[si.known_indices(i) for i in range(1, eta + 1)] for si in s.users]
     used: list[set] = [set() for _ in range(gamma + 1)]
     queries = []
 
     for j in range(1, total + 1):
-        u = query_owner(j, users)
-        si_u = s.users[u - 1]
+        known_u = known[query_owner(j, users) - 1]
         beta: dict[int, int] = {}
 
         if j <= users and demands[j - 1] <= eta:
@@ -198,31 +221,24 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
         else:
             # Arbitrary identifiable stand-in: keep feasibility high by taking
             # the classes with the largest remaining fresh pool for this user.
-            pools = {
-                c: sizes[c - 1] - len(si_u.known_indices(c) | used[c])
-                for c in range(1, eta + 1)
-            }
+            pools = {c: sizes[c - 1] - len(known_u[c - 1] | used[c]) for c in range(1, eta + 1)}
             best = max(pools.values())
             if best == 0:
                 raise DeadEnd
             v = chooser.pick(sorted(c for c, size in pools.items() if size == best))
 
-        beta[v] = chooser.pick_fresh(sizes[v - 1], si_u.known_indices(v), used[v])
+        beta[v] = chooser.pick_fresh(sizes[v - 1], known_u[v - 1], used[v])
         used[v].add(beta[v])
 
-        helpers = [c for c in range(1, eta + 1) if c != v]
-        remaining = helpers
+        remaining = [c for c in range(1, eta + 1) if c != v]
         blocks = []
         for _ in range(users):
-            options = list(itertools.combinations(remaining, budget))
-            block = chooser.pick(options)
+            block = chooser.pick_block(remaining, budget)
             blocks.append(block)
             remaining = [c for c in remaining if c not in block]
-        for i, block in enumerate(blocks, start=1):
-            si_i = s.users[i - 1]
+        for known_i, block in zip(known, blocks):
             for t in block:
-                pool = sorted(si_i.known_indices(t) - used[t])
-                beta[t] = chooser.pick(pool)
+                beta[t] = chooser.pick(sorted(known_i[t - 1] - used[t]))
                 used[t].add(beta[t])
         for t in range(1, gamma + 1):
             if t not in beta:

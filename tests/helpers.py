@@ -114,17 +114,19 @@ def random_multi_scenario(rng: random.Random, users: int = 2, block: int = 0) ->
     return Scenario(store, sequential_class_map(sizes), sis, eta, seed=rng.randrange(10**6))
 
 
-def wide_helper_document() -> dict:
-    """Three users, 23 classes of 12 messages, eta = 22 (helper blocks of 7),
-    q = 41, L = 1.  In every identifiable class user 1 holds all indices but 1,
-    user 2 all but 2 and user 3 only {3, 4, 5}; all three hold {1, 2} in class 23.
-    It passes multi validation, and its helper partitions are too many to list."""
+def wide_helper_document(eta: int = 22, order: int = 41) -> dict:
+    """Three users, eta + 1 classes of 12 messages, ``eta`` identifiable (helper
+    blocks of (eta - 1) / 3), field order ``order``, L = 1.  In every identifiable
+    class user 1 holds all indices but 1, user 2 all but 2 and user 3 only
+    {3, 4, 5}; all three hold {1, 2} in the last class.  At the defaults (23
+    classes, blocks of 7, q = 41) it passes multi validation, and its helper
+    partitions are too many to list."""
     held = [[b for b in range(1, 13) if b != 1], [b for b in range(1, 13) if b != 2], [3, 4, 5]]
     return {
-        "classes": [["random"] * 12 for _ in range(23)],
-        "eta": 22,
-        "field_order": 41,
+        "classes": [["random"] * 12 for _ in range(eta + 1)],
+        "eta": eta,
+        "field_order": order,
         "seed": 0,
         "symbols_per_message": 1,
-        "users": [{"side_information": [h] * 22 + [[1, 2]]} for h in held],
+        "users": [{"side_information": [h] * eta + [[1, 2]]} for h in held],
     }

@@ -16,9 +16,19 @@ from ppir.fixtures import fixture_path
 from ppir.selftest import CHECKS, run_selftest
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, max_bytes=None):
+    """Run the CLI in a child Python; ``max_bytes`` caps the child's address space,
+    set by the child itself before it runs ``ppir``."""
+    start = ["-m", "ppir"]
+    if max_bytes:
+        start = [
+            "-c",
+            "import resource, runpy; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({max_bytes}, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "runpy.run_module('ppir', run_name='__main__', alter_sys=True)",
+        ]
     return subprocess.run(
-        [sys.executable, "-m", "ppir", *args], capture_output=True, text=True, check=False, timeout=timeout
+        [sys.executable, *start, *args], capture_output=True, text=True, check=False, timeout=timeout
     )
 
 
@@ -212,6 +222,18 @@ class TestRun:
         proc = run_cli("run", str(path), *demands, "--seed", "1", "--out", str(out), timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["demands"] == [23, 23, 23]
+
+    def test_forty_identifiable_classes_run(self, tmp_path):
+        # Helper blocks of 13 from 39 classes: C(39, 13), about 8.1e9, for user 1
+        # alone.  Listing them would be one C call that no timer interrupts, so the
+        # child's address space is capped too: such a builder fails, not the host.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_helper_document(eta=40, order=101)))
+        out = tmp_path / "trace.json"
+        demands = ["--demand", "41"] * 3
+        proc = run_cli("run", str(path), *demands, "--seed", "1", "--out", str(out), timeout=20, max_bytes=256 << 20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["demands"] == [41, 41, 41]
 
     def test_demand_required(self):
         assert run_cli("run", fixture("five_class.json")).returncode == 2

@@ -30,6 +30,7 @@ from ppir import (
     query_distribution,
     query_owner,
     random_store,
+    run_session,
     sample_query_distribution,
     sequential_class_map,
     validate_scenario,
@@ -510,3 +511,177 @@ def test_stand_in_dead_end_draws_nothing():
     assert chooser.sizes == []
     with pytest.raises(ExhaustedIndices):
         query_distribution(s, (3,), "multi")
+
+
+class TestPickBlock:
+    """``pick_block(items, b)`` must be ``pick(list(combinations(items, b)))`` without the list."""
+
+    def test_every_rank_is_the_listed_block(self):
+        for n in range(9):
+            items = [10 * k + 3 for k in range(n)]
+            for b in range(n + 2):
+                blocks = list(itertools.combinations(items, b))
+                for i, listed in enumerate(blocks):
+                    ranked, reference = _ReplayChooser([i]), _ReplayChooser([i])
+                    assert ranked.pick_block(items, b) == listed, (n, b, i)
+                    reference.pick(blocks)
+                    assert (ranked.sizes, ranked.path) == (reference.sizes, reference.path), (n, b, i)
+
+    def test_no_block_is_a_dead_end_without_a_draw(self):
+        for n in range(9):
+            chooser = _ReplayChooser([])
+            with pytest.raises(DeadEnd):
+                chooser.pick_block(list(range(n)), n + 1)
+            assert chooser.sizes == []
+
+    def test_one_block_draws_nothing(self):
+        for n in range(9):
+            for b in (0, n):
+                chooser = _ReplayChooser([])
+                assert chooser.pick_block(list(range(n)), b) == tuple(range(b))
+                assert chooser.sizes == []
+
+
+def _reference_multi_plan(s, demands, chooser):
+    """The collaborative builder that lists every helper block, kept to check
+    that ranked blocks make the same draws and plans."""
+    eta = s.identifiable_count
+    gamma = s.class_count
+    users = s.user_count
+    sizes = s.class_map.sizes
+    budget = s.params.per_user_known_budget
+    used = [set() for _ in range(gamma + 1)]
+    plan = []
+    for j in range(1, s.params.query_count + 1):
+        si_u = s.users[query_owner(j, users) - 1]
+        beta = {}
+        if j <= users and demands[j - 1] <= eta:
+            v = demands[j - 1]
+        else:
+            pools = {c: sizes[c - 1] - len(si_u.known_indices(c) | used[c]) for c in range(1, eta + 1)}
+            best = max(pools.values())
+            if best == 0:
+                raise DeadEnd
+            v = chooser.pick(sorted(c for c, size in pools.items() if size == best))
+        beta[v] = chooser.pick_fresh(sizes[v - 1], si_u.known_indices(v), used[v])
+        used[v].add(beta[v])
+        remaining = [c for c in range(1, eta + 1) if c != v]
+        blocks = []
+        for _ in range(users):
+            block = chooser.pick(list(itertools.combinations(remaining, budget)))
+            blocks.append(block)
+            remaining = [c for c in remaining if c not in block]
+        for si_i, block in zip(s.users, blocks):
+            for t in block:
+                beta[t] = chooser.pick(sorted(si_i.known_indices(t) - used[t]))
+                used[t].add(beta[t])
+        for t in range(1, gamma + 1):
+            if t not in beta:
+                beta[t] = chooser.pick_fresh(sizes[t - 1], used[t])
+                used[t].add(beta[t])
+        plan.append(queries.Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
+    return queries.QueryPlan(tuple(plan), s.params.disclosed_known_count("multi"))
+
+
+def _loose_multi_scenario(rng, users, block, largest):
+    """Random collaborative scenario with no regard for validation: classes of 2 to
+    ``largest`` messages and side information of any size, so builds often dead-end."""
+    eta = 1 + users * block
+    sizes = [rng.randint(2, largest) for _ in range(eta + rng.randint(0, 1))]
+    sis = tuple(
+        SideInformation(eta, tuple(frozenset(rng.sample(range(1, mu + 1), rng.randint(0, mu))) for mu in sizes))
+        for _ in range(users)
+    )
+    store = random_store(PrimeField(37), sizes, 1, rng.randrange(10**6))
+    return Scenario(store, sequential_class_map(sizes), sis, eta, seed=0)
+
+
+def _attempt(build, s, demands, chooser):
+    try:
+        return build(s, demands, chooser)
+    except DeadEnd:
+        return None
+
+
+def test_ranked_blocks_build_the_listed_plans():
+    # Attempt by attempt, on one seeded stream each, the builder and the listing
+    # reference must dead-end together or give the same plan, and leave the
+    # stream in the same state.
+    rng = random.Random(21)
+    outcomes = set()
+    for n in range(120):
+        users = 2 + n % 2
+        block = 1 + n // 2 % 2
+        if n % 4 < 2:
+            s = random_multi_scenario(rng, users, block=block)
+        else:
+            s = _loose_multi_scenario(rng, users, block, largest=6)
+        space = list(itertools.product(range(1, s.class_count + 1), repeat=users))
+        for demands in rng.sample(space, 3):
+            seed = rng.randrange(10**6)
+            ranked, listed = RandomChooser(random.Random(seed)), RandomChooser(random.Random(seed))
+            for _ in range(5):
+                plan = _attempt(build_multi_plan, s, demands, ranked)
+                assert plan == _attempt(_reference_multi_plan, s, demands, listed), (n, demands, seed)
+                outcomes.add(plan is not None)
+                if plan is not None:
+                    break
+            assert ranked.rng.getstate() == listed.rng.getstate(), (n, demands, seed)
+    assert outcomes == {True, False}
+
+
+def test_ranked_blocks_give_the_listed_distributions(monkeypatch):
+    # The exact oracle walks every branch, so every draw's size and order must match.
+    rng = random.Random(7)
+    outcomes = set()
+    for n in range(16):
+        s = _loose_multi_scenario(rng, 2 + n // 12, 1 + n % 2, largest=3)
+        demands = tuple(rng.randint(1, s.class_count) for _ in range(s.user_count))
+        results = []
+        for build in (build_multi_plan, _reference_multi_plan):
+            monkeypatch.setattr(queries, "build_multi_plan", build)
+            try:
+                results.append(query_distribution(s, demands, "multi"))
+            except ExhaustedIndices:
+                results.append(None)
+        assert results[0] == results[1], (n, demands)
+        outcomes.add(results[0] is not None)
+    assert outcomes == {True, False}
+
+
+class _LargestPickChooser(RandomChooser):
+    """Records the most options any one ``pick`` call is handed."""
+
+    largest = 0
+
+    def pick(self, options):
+        self.largest = max(self.largest, len(options))
+        return super().pick(options)
+
+
+def test_no_pick_lists_the_helper_blocks():
+    # User 1's blocks number C(21, 7) = 116,280; no pick may be handed more than
+    # the identifiable classes (a stand-in tie) or one class's indices.
+    s = scenario_from_dict(wide_helper_document()).scenario
+    chooser = _LargestPickChooser(random.Random(1))
+    assert _attempt(build_multi_plan, s, (23, 23, 23), chooser) is not None
+    assert 0 < chooser.largest <= max(s.identifiable_count, *s.class_map.sizes)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="multi validation is not yet sufficient (ROADMAP item 3)")
+def test_multi_validation_admits_only_scenarios_with_plans():
+    # Classes (3, 2, 2), eta = 1: both queries' special class is class 1, whose
+    # only index fresh for either user is 3, so no plan exists for any demand pair.
+    sizes = (3, 2, 2)
+    f = frozenset
+    users = (SideInformation(1, (f({1, 2}), f(), f())), SideInformation(1, (f({1, 2}), f(), f({1}))))
+    s = Scenario(random_store(PrimeField(7), sizes, 1, 0), sequential_class_map(sizes), users, 1, 0)
+    if validate_scenario(s, "multi").ok:
+        runs = []
+        for demands in itertools.product(range(1, 4), repeat=2):
+            try:
+                run_session(s, demands, seed=0)
+                runs.append(demands)
+            except ExhaustedIndices:
+                pass
+        assert runs
