@@ -101,15 +101,33 @@ SINGLE_IDENTIFIABLE_CLASS = "single_identifiable_class"
 
 
 def comparison_conditions(p: RateParams) -> ComparisonReport:
-    """Evaluate the advantage conditions exactly; meaningful for one-user params
-    that satisfy the scheme's own assumptions.  Raises ConditionsInconsistent
-    when a condition holds but the rates contradict it, which only params
-    outside those assumptions can do."""
+    """Evaluate the advantage conditions exactly for the first user's params.
+
+    The conditions are the paper's, and rest on two premises that validation
+    does not ask for: every identifiable count is at least k_max
+    (``identifiable_depth_premise``), and every unidentifiable class has
+    ceil(T / eta) indices outside the side information
+    (``unidentifiable_headroom_premise``).  When one fails, every flag reads
+    "not-applicable" and its witnesses name each failing (premise, class).
+    Otherwise a flag that holds guarantees rate_isi >= rate_usi, and a
+    contradiction raises ConditionsInconsistent.  Only params outside the
+    scheme's assumptions can raise it: on the validated one-user scenarios of
+    ``tests/test_exhaustive.py`` it never does."""
     eta = p.identifiable_count
     gamma = p.class_count
     counts = p.si_counts[0]
     sizes = p.class_sizes
     kun = p.max_unidentified_count
+    r_isi, r_usi = rate_isi(p), rate_usi(p)
+    turns = -(-p.query_count // eta)  # most queries in which the rotation takes one class fresh
+    unmet = tuple(
+        [("identifiable_depth_premise", i + 1) for i in range(eta) if counts[i] < kun]
+        + [("unidentifiable_headroom_premise", i + 1) for i in range(eta, gamma) if sizes[i] - counts[i] < turns]
+    )
+    if unmet:
+        flag = ConditionFlag("not-applicable", unmet)
+        names = (SPARSE_SIDE_INFORMATION, UNIFORM_DENSE_SIDE_INFORMATION, SINGLE_IDENTIFIABLE_CLASS)
+        return ComparisonReport(r_isi, r_usi, dict.fromkeys(names, flag))
     flags = {}
 
     sparse_bad = tuple(
@@ -145,7 +163,6 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
         dense_bad if eta == 1 else ("identifiable_count", eta),
     )
 
-    r_isi, r_usi = rate_isi(p), rate_usi(p)
     for name, flag in flags.items():
         if flag.status == "holds" and r_isi < r_usi:
             raise ConditionsInconsistent(f"{name} holds but the rate inequality fails: {r_isi} < {r_usi}")

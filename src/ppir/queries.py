@@ -20,10 +20,11 @@ Builders raise an internal dead-end signal when a pick set runs empty; the
 public generators then retry the whole plan with fresh draws from the same
 stream.  Retrying is exactly rejection sampling: the result is uniform over
 the valid realisations.  On scenarios that validate, the single-user builder
-provably never dead-ends (the designated query is built first).  Multi-mode
-validation is not yet sufficient (ROADMAP item 3): some scenarios pass it on
-which every collaborative attempt dead-ends, and the generators raise
-ExhaustedIndices there.
+never dead-ends (the designated query is built first, and every pick set's
+size is fixed by its step), and some draw of the collaborative builder
+completes for every demand tuple, as ``validate_scenario`` bounds its picks
+whatever the stand-ins and helper blocks are.  The generators raise
+ExhaustedIndices when all MAX_PLAN_ATTEMPTS attempts dead-end.
 
 ``plan_builder`` is the one plan entry: it checks the demand tuple (one
 demand in single mode, one per user in multi mode, each an existing class)
@@ -38,8 +39,8 @@ user: an identifiable demand is the special class of some query
 (``per_query_assignment``, as in multi mode).  Whether a query admits such an
 assignment is decided by one bipartite matching of its identifiable classes
 to seats (the special seat and each user's block seats), found by augmenting
-paths in time polynomial in eta.  Every protocol session runs it on its own
-plan.
+paths (``scenario._augment``, shared with validation) in time polynomial in
+eta.  Every protocol session runs it on its own plan.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import AssumptionViolated, ExhaustedIndices, OutOfRange
-from .scenario import RuleResult, Scenario, ValidationReport, validate_scenario
+from .scenario import RuleResult, Scenario, ValidationReport, _augment, validate_scenario
 
 MAX_PLAN_ATTEMPTS = 1000
 
@@ -458,19 +459,3 @@ def _seats_filled(q: Query, candidates, owner: int, known: list, block: int) -> 
     holders: list[list] = [[] for _ in free]
     return all(_augment(c, seats, free, holders, set()) for c in range(eta))
 
-
-def _augment(c: int, seats: list, free: list, holders: list, visited: set) -> bool:
-    """Seat class c + 1 in a free seat, or in a seat one of whose holders moves on.
-    Each seat is visited once, so the recursion is at most one level per seat."""
-    for t in seats[c]:
-        if t not in visited:
-            visited.add(t)
-            if free[t]:
-                free[t] -= 1
-                holders[t].append(c)
-                return True
-            for k, d in enumerate(holders[t]):
-                if _augment(d, seats, free, holders, visited):
-                    holders[t][k] = c
-                    return True
-    return False

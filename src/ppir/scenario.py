@@ -287,116 +287,113 @@ class ValidationReport:
 
 
 def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
-    """Check every assumption the protocol's guarantees rest on; pure function.
+    """Check that the mode's plan builder can serve every demand; pure function.
 
-    Failures are report entries, never exceptions.  The identifiable-depth
-    check is non-strict (count >= max unidentified count, and >= 1): with the
-    designated query built first that is sufficient for the generator, and the
-    worked scenarios in the bundled fixtures sit exactly on this boundary.
+    Failures are report entries, never exceptions.  One rule list judges the
+    first user in single mode and every user in multi mode.  With T queries
+    and share(x, m) = #{j <= T : query_owner(j, m) = x}:
+
+    * ``identifiable_depth``: each user holds enough of identifiable class i
+      for its known picks: in multi mode T when eta >= 2 (a user may help with
+      class i in every query); in single mode 1 when eta >= 2 (the designated
+      query) and T - share(i, eta) when some demand is unidentifiable (the
+      rotation takes class i fresh in share(i, eta) queries).
+    * ``identifiable_headroom``: one matching seats every user's fresh picks of
+      class i on distinct indices that user does not hold: share(u, U) for
+      user u in multi mode (any query may make class i special), and
+      max(1, share(i, eta)) in single mode.
+    * ``subclass_pool``: T indices per class; ``helper_partition``: one block
+      per user; ``query_budget``: a query per demand; ``field_supports_code``.
+
+    Single mode is exact: it passes iff the single-user builder finds a plan
+    for every demand, and as its pick-set sizes depend on the step alone it
+    then never dead-ends.  Multi mode is sufficient: it holds whatever
+    stand-ins and helper blocks are drawn, so every demand tuple has a plan,
+    but a refused scenario may still run.  The paper's premises for the rate
+    comparison are ``analytics.comparison_conditions``'s to check.
     """
     if mode not in ("single", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
-    rules = []
-    eta = s.identifiable_count
-    gamma = s.class_count
-    kun = s.params.max_unidentified_count
-    sizes = s.class_map.sizes
+    single = mode == "single"
+    users = s.users[:1] if single else s.users
+    n, eta, sizes, total = len(users), s.identifiable_count, s.class_map.sizes, s.params.query_count
+    rotation = single and s.class_count > eta
 
-    if mode == "single":
-        rules.append(
-            RuleResult(
-                "single_user_count",
-                s.user_count == 1,
-                f"single mode needs exactly 1 user, scenario has {s.user_count}",
-            )
-        )
-        users = s.users[:1]
-        headroom_name = "class_headroom"
-        headroom_need = -(-(kun + 1) // eta)
-        headroom_classes = gamma
-    else:
-        rules.append(
-            RuleResult(
-                "helper_partition",
-                s.params.helpers_split_evenly,
-                f"{eta - 1} helper classes must split evenly across {s.user_count} users",
-            )
-        )
-        users = s.users
-        rules.append(
-            RuleResult(
-                "query_budget",
-                kun + 1 >= s.user_count,
-                f"plan has {kun + 1} queries for {s.user_count} users",
-            )
-        )
-        headroom_name = "identifiable_headroom"
-        headroom_need = -(-(kun + 1) // s.user_count)
-        headroom_classes = eta
+    def share(x: int, m: int) -> int:
+        return (total - x) // m + 1 if x <= total else 0
 
-    # Collaborative helper blocks may hit the same user-class pair in every
-    # query, so the multi-user depth bound is strict.  The single-user scheme
-    # draws known indices from class i only in the queries the fresh-index
-    # rotation does not assign to it, so classes the rotation reaches get a
-    # non-strict bound; classes it never reaches (more identifiable classes
-    # than queries) still need the strict one.
-    def depth_floor(i: int) -> int:
-        if mode == "multi":
-            return kun + 1
-        reached = kun + 1 >= eta or i <= kun + 1
-        return max(kun, 1) if reached else kun + 1
+    any_special = [share(u, n) for u in range(1, n + 1)]  # multi: any query may make class i special
 
-    bad = [
-        (u, i)
-        for u, si in enumerate(users, start=1)
-        for i in range(1, eta + 1)
-        if si.count(i) < depth_floor(i)
+    def needs(i: int) -> tuple:
+        """For class i: the known picks the builder can ask of a user, and each user's fresh picks."""
+        if not single:
+            return (total if eta >= 2 else 0), any_special
+        fresh = share(i, eta) if rotation else 0
+        return max(eta >= 2, total - fresh if rotation else 0), [max(1, fresh)]
+
+    shallow, crowded = [], []
+    for i in range(1, eta + 1):
+        depth, seats = needs(i)
+        held = [si.indices[i - 1] for si in users]  # identifiable, so the users know these
+        shallow += [(u, i) for u, k in enumerate(held, start=1) if len(k) < depth]
+        if not _fresh_seats(sizes[i - 1], held, seats):
+            crowded.append(i)
+    shallow, crowded = tuple(shallow), tuple(crowded)
+    bound = "exact for the single-user builder" if single else "sufficient for every helper assignment"
+    small = tuple(i for i, size in enumerate(sizes, start=1) if size < total)
+    q, need_q = s.store.field.order, s.params.code_length(mode)
+    one_user = f"single mode needs exactly 1 user, scenario has {s.user_count}"
+    rules = [("single_user_count", s.user_count == 1, one_user)] if single else []
+    rules += [
+        ("helper_partition", single or s.params.helpers_split_evenly,
+         f"{eta - 1} helper classes must split evenly across {n} users"),
+        ("query_budget", total >= n, f"plan has {total} queries for {n} users"),
+        ("identifiable_depth", not shallow,
+         f"side information must cover each user's known picks ({bound})", shallow),
+        ("identifiable_headroom", not crowded,
+         f"fresh picks need indices outside side information ({bound})", crowded),
+        ("subclass_pool", not small,
+         f"every class needs at least {total} messages so no subclass index repeats", small),
+        ("field_supports_code", q >= need_q, f"code length {need_q} needs field order >= {need_q}, have {q}"),
     ]
-    rules.append(
-        RuleResult(
-            "identifiable_depth",
-            not bad,
-            "identifiable classes need side information at least as deep as the "
-            "largest unidentifiable count (strictly deeper when out of the rotation "
-            "or in multi mode)",
-            tuple(bad),
-        )
-    )
+    return ValidationReport(mode, tuple(RuleResult(*rule) for rule in rules))
 
-    bad = [
-        (u, i)
-        for u, si in enumerate(users, start=1)
-        for i in range(1, headroom_classes + 1)
-        if sizes[i - 1] - si.count(i) < headroom_need
-    ]
-    rules.append(
-        RuleResult(
-            headroom_name,
-            not bad,
-            f"each listed class needs at least {headroom_need} messages outside the side information",
-            tuple(bad),
-        )
-    )
 
-    small = tuple(i for i in range(1, gamma + 1) if sizes[i - 1] < kun + 1)
-    rules.append(
-        RuleResult(
-            "subclass_pool",
-            not small,
-            f"every class needs at least {kun + 1} messages so no subclass index repeats",
-            small,
-        )
-    )
+def _fresh_seats(size: int, known: list, needs: list) -> bool:
+    """Whether user u can take needs[u] indices of [1, size] outside known[u], no
+    index taken twice.  An index no user holds fits every user, so only the held
+    ones are matched (by ``_augment``) and the rest fill whatever seats remain."""
+    if size - sum(map(len, known)) >= sum(needs):  # enough even if no two users share an index
+        return True
+    held = set().union(*known)
+    short = sum(needs) - (size - len(held))  # seats the unheld indices cannot fill
+    seats: list[list] = []  # seats[c]: the users the c-th matched index fits
+    free, holders = list(needs), [[] for _ in needs]
+    for b in held:
+        if short <= 0:
+            break
+        seats.append([u for u, k in enumerate(known) if b not in k])
+        short -= _augment(len(seats) - 1, seats, free, holders, set())
+    return short <= 0
 
-    need_q = s.params.code_length(mode)
-    rules.append(
-        RuleResult(
-            "field_supports_code",
-            s.store.field.order >= need_q,
-            f"code length {need_q} needs field order >= {need_q}, have {s.store.field.order}",
-        )
-    )
-    return ValidationReport(mode, tuple(rules))
+
+def _augment(c: int, seats: list, free: list, holders: list, visited: set) -> bool:
+    """Seat item c in a seat of ``seats[c]`` with room left (``free``), or in a full
+    one whose holder moves on to another seat: one augmenting path of a capacitated
+    bipartite matching (Kuhn's algorithm).  Each seat is visited once, so the
+    recursion is at most one level per seat."""
+    for t in seats[c]:
+        if t not in visited:
+            visited.add(t)
+            if free[t]:
+                free[t] -= 1
+                holders[t].append(c)
+                return True
+            for k, d in enumerate(holders[t]):
+                if _augment(d, seats, free, holders, visited):
+                    holders[t][k] = c
+                    return True
+    return False
 
 
 def random_symbol(seed: int, message_index: int, symbol_index: int, order: int) -> int:

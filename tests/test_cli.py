@@ -235,6 +235,21 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["demands"] == [41, 41, 41]
 
+    def test_fresh_class_needs_no_side_information(self, tmp_path):
+        # eta = 1: the rotation takes class 1 fresh in both queries, so no known
+        # class-1 index is needed and every demand runs.
+        path = write_scenario(tmp_path, (2, 3, 3), 1, [[[], [1], [1]]])
+        for v in (1, 2, 3):
+            assert main(["run", path, "--demand", str(v), "--out", str(tmp_path / "trace.json")]) == 0
+
+    def test_fresh_picks_without_seats_exit_3(self, tmp_path):
+        # eta = 1 and two queries whose special class is class 1: index 3 is the
+        # only one either user lacks, so no collaborative plan exists.
+        path = write_scenario(tmp_path, (3, 2, 2), 1, [[[1, 2], [], []], [[1, 2], [], [1]]])
+        proc = run_cli("run", path, "--demand", "1", "--demand", "2")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["validation refused: scenario assumptions not met: identifiable_headroom"]
+
     def test_demand_required(self):
         assert run_cli("run", fixture("five_class.json")).returncode == 2
 
@@ -275,6 +290,22 @@ class TestRates:
         run_cli("rates", fixture("fsi_three_class.json"), "--out", str(out))
         doc = json.loads(out.read_text())
         assert doc["rates"]["identified"] == ["1"]
+
+    def test_unmet_premise_makes_conditions_not_applicable(self, tmp_path):
+        # Validation admits class 1 with no side information (eta = 1), but the
+        # advantage conditions assume every identifiable count is at least k_max.
+        out = tmp_path / "rates.json"
+        path = write_scenario(tmp_path, (2, 3, 3), 1, [[[], [1], [1]]])
+        proc = run_cli("rates", path, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["rates"]["identified"] == ["1/6"] and doc["rates"]["unidentified_baseline"] == ["1/5"]
+        assert {name: flag["status"] for name, flag in doc["comparison_conditions"].items()} == dict.fromkeys(
+            ("sparse_side_information", "uniform_dense_side_information", "single_identifiable_class"),
+            "not-applicable",
+        )
+        for flag in doc["comparison_conditions"].values():
+            assert flag["witnesses"] == [["identifiable_depth_premise", 1]]
 
     def test_scenario_failing_validation_exits_3(self, tmp_path):
         # two_user_three_class fails validation in both modes; ``run`` refuses it too.

@@ -16,7 +16,7 @@ run --mode multi``), forced where that mode's validation refuses them
 (five_class).
 
 The default ``ppir audit five_class.json`` (1000 runs, scenario seed) is
-pinned at 797b322d835549846185fac085737fd44d69c149031f4c8e23408623ddf56761:
+pinned at d37296f2827ba771494dc709181c332ec36528d03e735908ebeedb7d5934e66a:
 its single-user enumeration exceeds the leaf limit, is refused after one leaf,
 and the report falls back to 2,000-sample Monte Carlo.
 """
@@ -93,20 +93,20 @@ RATES_DIGESTS = {
 }
 
 # ``ppir audit tiny_two_class.json --runs 2 --seed 3``, scenario_validation included.
-AUDIT_CLI_DIGEST = "fd77a76d5b2470494f4234bdcb180dc06505e81638013004eb053bd5d8e14add"
+AUDIT_CLI_DIGEST = "dadd36e25f35b696d82abf7393ee4920a35958e2747344d0589d221f6f789763"
 
 # ``ppir audit five_class.json`` with the default runs and seed.
-FIVE_CLASS_DEFAULT_AUDIT_DIGEST = "797b322d835549846185fac085737fd44d69c149031f4c8e23408623ddf56761"
+FIVE_CLASS_DEFAULT_AUDIT_DIGEST = "d37296f2827ba771494dc709181c332ec36528d03e735908ebeedb7d5934e66a"
 
 # validation_to_dict(validate_scenario(...)): failing rules with empty witness
 # lists (two_user_three_class), and with tuple witnesses (five_class in multi mode).
 VALIDATION_DIGESTS = {
     ("two_user_three_class.json", "single"):
-        "5ce1e950fed1a0b1542a2c7943636ad5729c83cddf262d4d21da99e5523abbba",
+        "e31aab9030b1bf3b75bd6ac8746d0164fac7b3baa8e3cb223090cc87a6d8187b",
     ("two_user_three_class.json", "multi"):
-        "6a37195192b1e3f08db7447cf544d4887ef41905d889a655313197b45cecd398",
+        "e24af36696167f828886cfaeb0c5b33872cbc1487c96c4651aeddddb20a3a4dd",
     ("five_class.json", "multi"):
-        "566e6b759f7c397480d01bd86e9e4a0261dbbd25f277f5418247997fc83a2af1",
+        "48a5f661576ee762cd9f69443265981c3df86ccdcff39356bccff59e6e32adb1",
 }
 
 

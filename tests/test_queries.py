@@ -668,7 +668,6 @@ def test_no_pick_lists_the_helper_blocks():
     assert 0 < chooser.largest <= max(s.identifiable_count, *s.class_map.sizes)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="multi validation is not yet sufficient (ROADMAP item 3)")
 def test_multi_validation_admits_only_scenarios_with_plans():
     # Classes (3, 2, 2), eta = 1: both queries' special class is class 1, whose
     # only index fresh for either user is 3, so no plan exists for any demand pair.

@@ -12,10 +12,11 @@ from ppir import (
     SideInformation,
     random_store,
     random_symbol,
+    run_session,
     sequential_class_map,
     validate_scenario,
 )
-from ppir.errors import MalformedScenario, OutOfRange, UnidentifiableAccess
+from ppir.errors import ExhaustedIndices, MalformedScenario, OutOfRange, UnidentifiableAccess
 from ppir.field import PrimeField
 from ppir.fixtures import NAMES
 
@@ -113,12 +114,23 @@ class TestValidation:
         assert validate_scenario(fsi.scenario, "multi").ok
 
     def test_shallow_identifiable_class_fails(self, five_class):
-        # Dropping class 1's depth below the largest unidentifiable count (3)
-        # must trip the depth rule.
-        weakened = _five_class_with_counts(five_class.scenario, {3, 4})
-        report = validate_scenario(weakened, "single")
-        failed = {r.name for r in report.failed()}
-        assert "identifiable_depth" in failed
+        # Four queries and three identifiable classes: the rotation of an
+        # unidentifiable demand takes class 1 fresh in queries 1 and 4, and needs
+        # two known class-1 indices for queries 2 and 3.  Depth 2 is enough for
+        # every demand; depth 1 trips the depth rule, and demands 4 and 5 exhaust.
+        exact = _five_class_with_counts(five_class.scenario, {3, 4})
+        assert validate_scenario(exact, "single").ok
+        for v in range(1, 6):
+            run_session(exact, v, seed=0)
+        shallow = _five_class_with_counts(five_class.scenario, {3})
+        report = validate_scenario(shallow, "single")
+        assert [(r.name, r.witnesses) for r in report.failed()] == [("identifiable_depth", ((1, 1),))]
+        for v in range(1, 6):
+            if v <= 3:
+                run_session(shallow, v, seed=0, force=True)
+            else:
+                with pytest.raises(ExhaustedIndices):
+                    run_session(shallow, v, seed=0, force=True)
 
     def test_boundary_depth_passes(self, five_class):
         # Depth exactly equal to the largest unidentifiable count is allowed.
