@@ -305,12 +305,6 @@ class PrivacyReport:
     distribution: DistributionAudit
 
 
-def _demand_space(s: Scenario, mode: str):
-    if mode == "single":
-        return tuple((v,) for v in range(1, s.class_count + 1))
-    return tuple(itertools.product(range(1, s.class_count + 1), repeat=s.user_count))
-
-
 def privacy_report(
     s: Scenario,
     mode: str = "single",
@@ -335,7 +329,7 @@ def privacy_report(
         raise ValueError(f"base_seed must be at least 0, got {base_seed}")
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    demand_space = _demand_space(s, mode)
+    demand_space = tuple(itertools.product(range(1, s.class_count + 1), repeat=s.params.for_mode(mode).user_count))
     checks = 0
     failures = 0
     witnesses = []

@@ -20,7 +20,9 @@ document over the existing file and then cuts a regular file to the
 document's length, so the file keeps its inode and links; a non-regular
 target (``/dev/null``, a FIFO) is written without truncation.  ``run`` warns
 on stderr when the file's explicit generator does not fit the run's [n, k]
-and the default code is used instead.
+and the default code is used instead.  ``--mode`` is single iff the file has
+one user, unless given; single mode serves the first user alone, and
+validation refuses it on more users unless ``--force`` is given.
 """
 
 from __future__ import annotations

@@ -154,12 +154,12 @@ def run_session(
     explicit_generator: Optional[Generator] = None,
     force: bool = False,
 ) -> SessionTrace:
-    """Full protocol round: plan, answers, every user's decodes, rate accounting.
+    """Full protocol round: plan, answers, each served user's decodes, rate accounting.
 
-    ``demands`` is a single class index (one user) or one index per user
-    (collaborative).  Every user receives every answer over the shared link
-    and decodes what it can; sessions are stateless, so decoded messages are
-    not folded back into side information.  Raises RecoveryFailed when the
+    ``demands`` is one class index (single mode: the first user's) or one per
+    user (collaborative).  Each user served gets every answer over the shared
+    link and decodes what it can; sessions are stateless, so decoded messages
+    are not folded back into side information.  Raises RecoveryFailed when the
     plan breaks a selection rule of ``check_plan``, a decoded message differs
     from the store, or a user gains no new message, and NotMDS (before the
     server answers) when ``explicit_generator`` fits but some decoder column
@@ -186,13 +186,12 @@ def run_session(
     )
 
     users = []
-    for u, si in enumerate(s.users, start=1):
+    for u, (si, desired) in enumerate(zip(s.users, demand_tuple), start=1):
         placeable = {
             (i, beta): s.store.symbols(s.class_map.pair_to_global(i, beta))
             for i in range(1, s.identifiable_count + 1)
             for beta in si.known_indices(i)
         }
-        desired = demand_tuple[u - 1] if mode == "multi" else demand_tuple[0]
         held = si.oracle_indices(desired)
         decoded_queries = []
         decoded = []

@@ -1,9 +1,9 @@
 """Query-plan generation for the identified-side-information retrieval scheme.
 
-A plan is a batch of k_max + 1 (``params.query_count``) queries, each naming
-one subclass index per class.  The combinatorial core of the privacy argument
-is non-repetition: across the whole plan no class contributes the same
-subclass index twice, whatever the desired class was.
+A plan is a batch of k_max + 1 (``params.for_mode(mode).query_count``)
+queries, each naming one subclass index per class.  The combinatorial core of
+the privacy argument is non-repetition: across the whole plan no class
+contributes the same subclass index twice, whatever the desired class was.
 
 Every "pick one element of this set" step goes through a Chooser, so the same
 builder code is driven two ways: seeded uniform draws (``RandomChooser``) for
@@ -160,7 +160,7 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
     gamma = s.class_count
     si = s.users[0]
     sizes = s.class_map.sizes
-    total = s.params.query_count
+    total = s.params.for_mode("single").query_count
     used: list[set] = [set() for _ in range(gamma + 1)]
     chosen: dict[int, list[tuple[int, int]]] = {}
 
@@ -185,7 +185,8 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
                 chosen[j] = [draw(i, None) for i in classes]
     else:
         for j in range(1, total + 1):
-            chosen[j] = [draw(i, (j - 1) % eta + 1) for i in classes]
+            special = query_owner(j, eta)  # the rotation's fresh class
+            chosen[j] = [draw(i, special) for i in classes]
 
     queries = tuple(Query(j, tuple(chosen[j])) for j in range(1, total + 1))
     return QueryPlan(queries, s.params.disclosed_known_count("single"))
@@ -252,10 +253,8 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
 
 
 def _check_demands(s: Scenario, demands: tuple, mode: str) -> None:
-    """One demand per user in multi mode, exactly one in single mode, each an existing class."""
-    if mode not in ("single", "multi"):
-        raise ValueError(f"unknown mode {mode!r}")
-    count = 1 if mode == "single" else s.user_count
+    """One demand per user the mode serves (``params.for_mode``), each an existing class."""
+    count = s.params.for_mode(mode).user_count
     if len(demands) != count:
         raise OutOfRange(f"need {count} demands, got {len(demands)}")
     for v in demands:
@@ -349,7 +348,7 @@ def audit_non_repetition(plan: QueryPlan) -> NonRepetitionResult:
 def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
     gamma = s.class_count
     sizes = s.class_map.sizes
-    total = s.params.query_count
+    total = s.params.for_mode(mode).query_count
     disclosed = s.params.disclosed_known_count(mode)
     rules = [
         RuleResult(
@@ -407,8 +406,8 @@ def check_plan(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) -> Valid
 def _assignment_rule(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) -> RuleResult:
     """The collaborative assignment rule; at one user it is the single-user rule."""
     eta = s.identifiable_count
-    users = 1 if mode == "single" else s.user_count
-    block = s.params.disclosed_known_count(mode)
+    p = s.params.for_mode(mode)
+    users, block = p.user_count, p.per_user_known_budget
     # known[u - 1][i - 1]: user u's known subclass indices in identifiable class i
     known = [[si.known_indices(i) for i in range(1, eta + 1)] for si in s.users[:users]]
     designated = mode == "single" and demands[0] <= eta
@@ -416,7 +415,7 @@ def _assignment_rule(s: Scenario, demands: tuple, plan: QueryPlan, mode: str) ->
     for q in plan.queries:
         j = q.index
         if mode == "single":
-            candidates = demands if designated else ((j - 1) % eta + 1,)
+            candidates = demands if designated else (query_owner(j, eta),)
         elif j <= users and demands[j - 1] <= eta:
             candidates = (demands[j - 1],)
         else:

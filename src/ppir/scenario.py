@@ -15,8 +15,9 @@ Conventions used throughout the package:
   :meth:`SideInformation.oracle_indices`.
 
 Every number derived from these integers (k_max, the helper budget, the
-disclosed hint d, the code length) is defined once, on :class:`RateParams`;
-a scenario carries its own as ``Scenario.params``.
+disclosed hint d, the code length) and the users a mode serves (``for_mode``)
+are defined once, on :class:`RateParams`; a scenario carries its own as
+``Scenario.params``.
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ class SideInformation:
 @dataclass(frozen=True)
 class RateParams:
     """The integers that fix a scheme run, per user, and the one definition of
-    every number derived from them; the rate formulas read these too."""
+    every number derived from them; the rate formulas read these too.  A run
+    in ``mode`` reads those of ``for_mode(mode)``, its served users alone."""
 
     class_count: int
     identifiable_count: int
@@ -204,13 +206,15 @@ class RateParams:
                 f"across {self.user_count} users"
             )
 
+    def for_mode(self, mode: str) -> "RateParams":
+        """The params of the users ``mode`` serves: all in multi mode, the first alone in single mode."""
+        if mode not in ("single", "multi"):
+            raise ValueError(f"unknown mode {mode!r}")
+        return self if mode == "multi" or self.user_count == 1 else self.single_user(1)
+
     def disclosed_known_count(self, mode: str) -> int:
         """The single integer sent to the server: it fixes the code dimension only."""
-        if mode == "single":
-            return self.identifiable_count - 1
-        if mode == "multi":
-            return self.per_user_known_budget
-        raise ValueError(f"unknown mode {mode!r}")
+        return self.for_mode(mode).per_user_known_budget
 
     def code_length(self, mode: str) -> int:
         return 2 * self.class_count - self.disclosed_known_count(mode)
@@ -290,8 +294,8 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
     """Check that the mode's plan builder can serve every demand; pure function.
 
     Failures are report entries, never exceptions.  One rule list judges the
-    first user in single mode and every user in multi mode.  With T queries
-    and share(x, m) = #{j <= T : query_owner(j, m) = x}:
+    users ``params.for_mode(mode)`` serves (the first alone in single mode).
+    With T their query count and share(x, m) = #{j <= T : query_owner(j, m) = x}:
 
     * ``identifiable_depth``: each user holds enough of identifiable class i
       for its known picks: in multi mode T when eta >= 2 (a user may help with
@@ -312,11 +316,9 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
     but a refused scenario may still run.  The paper's premises for the rate
     comparison are ``analytics.comparison_conditions``'s to check.
     """
-    if mode not in ("single", "multi"):
-        raise ValueError(f"unknown mode {mode!r}")
+    p = s.params.for_mode(mode)
     single = mode == "single"
-    users = s.users[:1] if single else s.users
-    n, eta, sizes, total = len(users), s.identifiable_count, s.class_map.sizes, s.params.query_count
+    n, eta, sizes, total = p.user_count, s.identifiable_count, s.class_map.sizes, p.query_count
     rotation = single and s.class_count > eta
 
     def share(x: int, m: int) -> int:
@@ -334,18 +336,18 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
     shallow, crowded = [], []
     for i in range(1, eta + 1):
         depth, seats = needs(i)
-        held = [si.indices[i - 1] for si in users]  # identifiable, so the users know these
+        held = [si.indices[i - 1] for si in s.users[:n]]  # identifiable, so the users know these
         shallow += [(u, i) for u, k in enumerate(held, start=1) if len(k) < depth]
         if not _fresh_seats(sizes[i - 1], held, seats):
             crowded.append(i)
     shallow, crowded = tuple(shallow), tuple(crowded)
     bound = "exact for the single-user builder" if single else "sufficient for every helper assignment"
     small = tuple(i for i, size in enumerate(sizes, start=1) if size < total)
-    q, need_q = s.store.field.order, s.params.code_length(mode)
+    q, need_q = s.store.field.order, p.code_length(mode)
     one_user = f"single mode needs exactly 1 user, scenario has {s.user_count}"
     rules = [("single_user_count", s.user_count == 1, one_user)] if single else []
     rules += [
-        ("helper_partition", single or s.params.helpers_split_evenly,
+        ("helper_partition", p.helpers_split_evenly,
          f"{eta - 1} helper classes must split evenly across {n} users"),
         ("query_budget", total >= n, f"plan has {total} queries for {n} users"),
         ("identifiable_depth", not shallow,

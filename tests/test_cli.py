@@ -168,6 +168,18 @@ class TestRun:
         )
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("name", ["two_user_seven_class.json", "two_user_three_class.json"])
+    def test_forced_single_mode_serves_the_first_user_alone(self, tmp_path, name):
+        # Single mode serves the file's first user alone, so a forced run never
+        # fails on what the second user could or could not decode.
+        out = tmp_path / "trace.json"
+        classes = load_scenario(fixture(name)).scenario.class_count
+        for v in range(1, classes + 1):
+            for seed in range(5):
+                argv = ["run", fixture(name), "--mode", "single", "--demand", str(v), "--seed", str(seed), "--force"]
+                assert main([*argv, "--out", str(out)]) == 0, (v, seed)
+                assert [u["user"] for u in json.loads(out.read_text())["users"]] == [1], (v, seed)
+
     @pytest.mark.parametrize(
         "name,demand",
         [

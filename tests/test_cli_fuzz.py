@@ -4,7 +4,9 @@ Each example takes a bundled fixture, applies a few random mutations (drop a
 key or an array entry, or replace a value with one of another JSON type, an
 out-of-range or huge integer, a boolean or a nested array) and runs
 ``ppir run`` (plain and ``--force``) and ``ppir rates`` on it in-process, plus
-``ppir audit --runs 1`` on mutated tiny_two_class documents.  Every run must
+``ppir audit --runs 1`` on mutated tiny_two_class documents.  On the two-user
+fixture two_user_seven_class, ``run`` goes once with two demands and once
+with ``--mode single`` and one demand, and ``audit`` is not run.  Every run must
 end with an exit code in {0, 2, 3, 4}; an uncaught exception fails the
 example.  ``audit`` is not run on five_class: its enumeration is refused at
 once, but the 2,000-sample Monte Carlo that replaces it takes about a second
@@ -41,7 +43,11 @@ from ppir import cli
 from ppir.fixtures import fixture_path
 
 FIXTURES = ("tiny_two_class.json", "five_class.json")
-DOCUMENTS = {name: json.loads(fixture_path(name).read_text()) for name in FIXTURES}
+# The mutation fuzz adds a two-user document, so multi mode meets mutated
+# documents too.  The byte fuzz leaves it out: it runs ``audit`` on every file,
+# and a multi-mode audit of this document takes minutes.
+MUTATED_FIXTURES = FIXTURES + ("two_user_seven_class.json",)
+DOCUMENTS = {name: json.loads(fixture_path(name).read_text()) for name in MUTATED_FIXTURES}
 
 # An audit costs time linear in --runs, so the argument fuzz caps it to keep
 # each call quick.  symbols_per_message needs no cap: a store above
@@ -79,7 +85,7 @@ def _paths(node, prefix=()):
 @st.composite
 def mutated_documents(draw):
     """(fixture name, mutated copy of that fixture's document)."""
-    name = draw(st.sampled_from(FIXTURES))
+    name = draw(st.sampled_from(MUTATED_FIXTURES))
     doc = json.loads(json.dumps(DOCUMENTS[name]))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from([p for p in _paths(doc) if p]))
@@ -121,7 +127,10 @@ def test_mutated_documents_keep_exit_contract(case, demand):
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
         run = ["run", str(path), "--demand", str(demand)]
-        commands = [run, run + ["--force"], ["rates", str(path)]]
+        runs = [run]
+        if name == "two_user_seven_class.json":
+            runs = [run + ["--demand", str(demand)], run + ["--mode", "single"]]
+        commands = [argv + force for argv in runs for force in ([], ["--force"])] + [["rates", str(path)]]
         if name == "tiny_two_class.json":
             commands.append(["audit", str(path), "--runs", "1"])
         for argv in commands:

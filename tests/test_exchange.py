@@ -21,6 +21,8 @@ from ppir import (
     generate_single_user_plan,
     generator_from_explicit,
     plan_from_pairs,
+    random_store,
+    rate_isi,
     run_session,
     sequential_class_map,
     session_generator,
@@ -248,6 +250,24 @@ class TestRunSession:
         # second user comes up empty on unlucky draws.
         with pytest.raises(RecoveryFailed):
             run_session(two_user_small.scenario, (1, 1), seed=1, force=True)
+
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_single_mode_serves_the_first_user_alone(self, v):
+        # User 1 holds no unidentifiable message (k_max 0), user 2 holds one of
+        # each unidentifiable class (k_max 1): a single session for user 1 sends
+        # the one query user 1's own numbers ask for, and decodes for user 1 alone.
+        field = PrimeField(7)
+        users = (
+            SideInformation(1, (frozenset({1, 2}), frozenset(), frozenset())),
+            SideInformation(1, (frozenset({3}), frozenset({1}), frozenset({2}))),
+        )
+        s = Scenario(random_store(field, (4, 4, 4), 1, 0), sequential_class_map((4, 4, 4)), users, 1, 0)
+        trace = run_session(s, v, seed=1, force=True)
+        assert len(trace.answers) == 1
+        assert trace.rate == rate_isi(s.params.single_user(1)) == Fraction(1, 3)
+        assert [u.user for u in trace.users] == [1]
+        plan = plan_from_pairs(trace.plan_view[1], trace.plan_view[0])
+        assert check_plan(s, (v,), plan, "single").ok
 
     def test_wrong_parity_fails_recovery(self, five_class, monkeypatch):
         # A decoded message is checked against the store on every run: one
