@@ -53,9 +53,10 @@ ENUMERATION_LIMIT = 1_000_000
 
 
 def rate_isi(p: RateParams) -> Fraction:
-    """Achieved rate of the identified-side-information scheme (one user)."""
-    kun = p.max_unidentified_count
-    return Fraction(1, (kun + 1) * (p.class_count - p.identifiable_count + 1))
+    """Achieved rate of the identified-side-information scheme: that of a
+    single-mode run, which serves the first user alone at its own k_max, so
+    ``rate_multi`` at that one user: 1 / ((k_max + 1)(class_count - eta + 1))."""
+    return rate_multi(p.for_mode("single"))
 
 
 def rate_usi(p: RateParams) -> Fraction:
@@ -68,16 +69,16 @@ def rate_usi(p: RateParams) -> Fraction:
 
 
 def rate_multi(p: RateParams) -> Fraction:
-    """Achieved rate of the collaborative scheme (reduces to rate_isi at one user);
+    """Achieved rate of the collaborative scheme, 1 / ((k_max + 1)(class_count - d));
     raises PartitionInfeasible when no plan exists because the helpers split unevenly."""
     p.require_helpers_split_evenly()
-    kun = p.max_unidentified_count
-    return Fraction(1, (kun + 1) * (p.class_count - p.per_user_known_budget))
+    return Fraction(1, p.query_count * (p.class_count - p.per_user_known_budget))
 
 
 def rate_naive_multi(p: RateParams) -> Fraction:
-    """Rate of serving each user with an independent single-user run."""
-    return rate_isi(p) / p.user_count
+    """Rate of independent single-mode runs, one per user at its own k_max, whose
+    downloads add up; it can beat ``rate_multi`` when the users' k_max differ."""
+    return 1 / sum(1 / rate_isi(p.single_user(u)) for u in range(1, p.user_count + 1))
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ SINGLE_IDENTIFIABLE_CLASS = "single_identifiable_class"
 
 
 def comparison_conditions(p: RateParams) -> ComparisonReport:
-    """Evaluate the advantage conditions exactly for the first user's params.
+    """Evaluate the advantage conditions exactly for a single-mode run: the first
+    user's counts, k_max and query count alone (``for_mode("single")``).
 
     The conditions are the paper's, and rest on two premises that validation
     does not ask for: every identifiable count is at least k_max
@@ -113,6 +115,7 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
     contradiction raises ConditionsInconsistent.  Only params outside the
     scheme's assumptions can raise it: on the validated one-user scenarios of
     ``tests/test_exhaustive.py`` it never does."""
+    p = p.for_mode("single")
     eta = p.identifiable_count
     gamma = p.class_count
     counts = p.si_counts[0]
@@ -128,39 +131,22 @@ def comparison_conditions(p: RateParams) -> ComparisonReport:
         flag = ConditionFlag("not-applicable", unmet)
         names = (SPARSE_SIDE_INFORMATION, UNIFORM_DENSE_SIDE_INFORMATION, SINGLE_IDENTIFIABLE_CLASS)
         return ComparisonReport(r_isi, r_usi, dict.fromkeys(names, flag))
-    flags = {}
 
-    sparse_bad = tuple(
-        i + 1 for i in range(gamma) if counts[i] + 1 > sizes[i] - counts[i]
-    )
-    flat_bad = tuple(i + 1 for i in range(eta, gamma) if counts[i] != kun)
-    flags[SPARSE_SIDE_INFORMATION] = ConditionFlag(
-        "holds" if not sparse_bad and not flat_bad else "fails",
-        sparse_bad + flat_bad,
-    )
+    sparse_bad = tuple(i + 1 for i in range(gamma) if counts[i] + 1 > sizes[i] - counts[i])
+    sparse_bad += tuple(i + 1 for i in range(eta, gamma) if counts[i] != kun)
+    flags = {SPARSE_SIDE_INFORMATION: ConditionFlag("fails" if sparse_bad else "holds", sparse_bad)}
 
-    dense_bad = tuple(
-        i + 1 for i in range(gamma) if counts[i] + 1 < sizes[i] - counts[i]
-    )
-    id_counts = set(counts[:eta])
-    un_counts = set(counts[eta:])
-    uniform_shape = (
-        len(id_counts) == 1 and len(un_counts) <= 1 and len(set(sizes)) == 1
-    )
-    if not uniform_shape:
-        flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag("not-applicable")
+    dense_bad = tuple(i + 1 for i in range(gamma) if counts[i] + 1 < sizes[i] - counts[i])
+    if len(set(counts[:eta])) == 1 and len(set(counts[eta:])) <= 1 and len(set(sizes)) == 1:
+        # Uniform shape: mu must reach k + ceil(D / gamma), D = 1 / rate_isi being the download.
+        ok = not dense_bad and sizes[0] >= counts[0] - (-r_isi.denominator // gamma)
+        flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag("holds" if ok else "fails", dense_bad)
     else:
-        spread = (gamma - eta + 1) * (kun + 1)
-        threshold = counts[0] - (-spread // gamma)
-        ok = not dense_bad and sizes[0] >= threshold
-        flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag(
-            "holds" if ok else "fails", dense_bad
-        )
+        flags[UNIFORM_DENSE_SIDE_INFORMATION] = ConditionFlag("not-applicable")
 
     ok = eta == 1 and not dense_bad
     flags[SINGLE_IDENTIFIABLE_CLASS] = ConditionFlag(
-        "holds" if ok else "fails",
-        dense_bad if eta == 1 else ("identifiable_count", eta),
+        "holds" if ok else "fails", dense_bad if eta == 1 else ("identifiable_count", eta)
     )
 
     for name, flag in flags.items():

@@ -139,7 +139,7 @@ def session_generator(s: Scenario, mode: str, explicit: Optional[Generator] = No
     A fitting explicit generator passes check_decoder_columns first (NotMDS otherwise),
     so a caller-built one cannot end a session mid-decode."""
     gamma = s.class_count
-    n = s.params.code_length(mode)
+    n = s.params.for_mode(mode).code_length
     if explicit is not None and explicit.k == gamma and explicit.n == n and explicit.field == s.store.field:
         check_decoder_columns(s, explicit)
         return explicit

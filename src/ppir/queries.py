@@ -160,7 +160,8 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
     gamma = s.class_count
     si = s.users[0]
     sizes = s.class_map.sizes
-    total = s.params.for_mode("single").query_count
+    p = s.params.for_mode("single")
+    total = p.query_count
     used: list[set] = [set() for _ in range(gamma + 1)]
     chosen: dict[int, list[tuple[int, int]]] = {}
 
@@ -189,7 +190,7 @@ def build_single_plan(s: Scenario, desired_class: int, chooser: Chooser) -> Quer
             chosen[j] = [draw(i, special) for i in classes]
 
     queries = tuple(Query(j, tuple(chosen[j])) for j in range(1, total + 1))
-    return QueryPlan(queries, s.params.disclosed_known_count("single"))
+    return QueryPlan(queries, p.per_user_known_budget)
 
 
 def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
@@ -207,8 +208,8 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
     gamma = s.class_count
     users = s.user_count
     sizes = s.class_map.sizes
-    budget = s.params.per_user_known_budget
-    total = s.params.query_count
+    p = s.params.for_mode("multi")
+    budget, total = p.per_user_known_budget, p.query_count
     # known[u - 1][i - 1]: user u's known subclass indices in identifiable class i
     known = [[si.known_indices(i) for i in range(1, eta + 1)] for si in s.users]
     used: list[set] = [set() for _ in range(gamma + 1)]
@@ -249,7 +250,7 @@ def build_multi_plan(s: Scenario, demands, chooser: Chooser) -> QueryPlan:
 
         queries.append(Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
 
-    return QueryPlan(tuple(queries), s.params.disclosed_known_count("multi"))
+    return QueryPlan(tuple(queries), budget)
 
 
 def _check_demands(s: Scenario, demands: tuple, mode: str) -> None:
@@ -348,8 +349,8 @@ def audit_non_repetition(plan: QueryPlan) -> NonRepetitionResult:
 def _shape_rules(s: Scenario, plan: QueryPlan, mode: str) -> list[RuleResult]:
     gamma = s.class_count
     sizes = s.class_map.sizes
-    total = s.params.for_mode(mode).query_count
-    disclosed = s.params.disclosed_known_count(mode)
+    p = s.params.for_mode(mode)
+    total, disclosed = p.query_count, p.per_user_known_budget
     rules = [
         RuleResult(
             "plan_length",

@@ -162,7 +162,8 @@ class SideInformation:
 class RateParams:
     """The integers that fix a scheme run, per user, and the one definition of
     every number derived from them; the rate formulas read these too.  A run
-    in ``mode`` reads those of ``for_mode(mode)``, its served users alone."""
+    in ``mode`` and its rate read those of ``for_mode(mode)``, its served users
+    alone, so ``for_mode`` is the one method that takes a mode."""
 
     class_count: int
     identifiable_count: int
@@ -189,8 +190,14 @@ class RateParams:
 
     @property
     def per_user_known_budget(self) -> int:
-        """Known pairs each user contributes per query in the collaborative scheme."""
+        """Known pairs each user contributes per query, sent to the server as the
+        disclosed hint d: eta - 1 at one user."""
         return -(-(self.identifiable_count - 1) // self.user_count)
+
+    @property
+    def code_length(self) -> int:
+        """n of the [n, class_count] MDS code: 2 class_count - d."""
+        return 2 * self.class_count - self.per_user_known_budget
 
     @property
     def helpers_split_evenly(self) -> bool:
@@ -211,13 +218,6 @@ class RateParams:
         if mode not in ("single", "multi"):
             raise ValueError(f"unknown mode {mode!r}")
         return self if mode == "multi" or self.user_count == 1 else self.single_user(1)
-
-    def disclosed_known_count(self, mode: str) -> int:
-        """The single integer sent to the server: it fixes the code dimension only."""
-        return self.for_mode(mode).per_user_known_budget
-
-    def code_length(self, mode: str) -> int:
-        return 2 * self.class_count - self.disclosed_known_count(mode)
 
     def single_user(self, u: int) -> "RateParams":
         return replace(self, si_counts=(self.si_counts[u - 1],))
@@ -343,7 +343,7 @@ def validate_scenario(s: Scenario, mode: str) -> ValidationReport:
     shallow, crowded = tuple(shallow), tuple(crowded)
     bound = "exact for the single-user builder" if single else "sufficient for every helper assignment"
     small = tuple(i for i, size in enumerate(sizes, start=1) if size < total)
-    q, need_q = s.store.field.order, p.code_length(mode)
+    q, need_q = s.store.field.order, p.code_length
     one_user = f"single mode needs exactly 1 user, scenario has {s.user_count}"
     rules = [("single_user_count", s.user_count == 1, one_user)] if single else []
     rules += [

@@ -38,13 +38,15 @@ WIDE_MESSAGE = ((WIDE_ORDER - 1,) * 3,) * WIDE_K
 WIDE_PARITY = ((1357516451,) * 3, (1118907156,) * 3, (1548403885,) * 3)
 WIDE_POSITIONS = (4, 5, 6, 7, 8, 9, 10, 11)
 
-# Rate parameters of the three worked scenarios.
+# Rate parameters of the worked scenarios.
 FIVE_CLASS = analytics.RateParams(5, 3, (7, 6, 8, 9, 9), ((3, 4, 5, 2, 3),))
 SIX_CLASS = analytics.RateParams(6, 3, (9, 9, 10, 6, 7, 8), ((4, 4, 3, 2, 2, 2),))
 TWO_USER_SEVEN_CLASS = analytics.RateParams(
     7, 5, (7, 7, 7, 9, 8, 7, 8), ((4, 4, 4, 5, 4, 3, 2), (4, 4, 4, 6, 4, 2, 3))
 )
 FULLY_IDENTIFIABLE = analytics.RateParams(3, 3, (3, 3, 3), ((1, 1, 1),))
+# Users of k_max 0 and 10: run alone they download 2 + 22 symbols, the collaborative run 33.
+UNEQUAL_USERS = analytics.RateParams(4, 3, (30, 30, 30, 30), ((11, 11, 11, 0), (11, 11, 11, 10)))
 
 
 def _generator() -> mds.Generator:
@@ -131,6 +133,11 @@ def _check_fully_identifiable_rate():
     assert analytics.rate_isi(FULLY_IDENTIFIABLE) == Fraction(1, 1)
 
 
+def _check_unequal_users_naive_rate():
+    assert analytics.rate_naive_multi(UNEQUAL_USERS) == Fraction(1, 24)
+    assert analytics.rate_multi(UNEQUAL_USERS) == Fraction(1, 33)
+
+
 CHECKS = (
     ("generator_accepted", _check_generator_accepted),
     ("generator_mds", _check_generator_mds),
@@ -148,6 +155,7 @@ CHECKS = (
     ("two_user_rate", _check_two_user_rate),
     ("two_user_naive_rate", _check_two_user_naive_rate),
     ("fully_identifiable_rate", _check_fully_identifiable_rate),
+    ("unequal_users_naive_rate", _check_unequal_users_naive_rate),
 )
 
 

@@ -128,6 +128,15 @@ class TestComparisonConditions:
         assert report.flags[UNIFORM_DENSE_SIDE_INFORMATION].status == "holds"
         assert report.rate_isi >= report.rate_usi
 
+    def test_conditions_read_the_first_user_alone(self):
+        # A second user with one more unidentifiable message (k_max 3) changes
+        # neither the first user's single-mode rate nor its conditions.
+        p = RateParams(6, 3, (9, 9, 10, 6, 7, 8), ((4, 4, 3, 2, 2, 2), (4, 4, 3, 3, 2, 2)))
+        report = comparison_conditions(p)
+        assert report == comparison_conditions(p.single_user(1))
+        assert report.flags[SPARSE_SIDE_INFORMATION].status == "holds"
+        assert report.rate_isi == Fraction(1, 12)
+
     def test_uniform_dense_fails_without_headroom(self):
         p = RateParams(5, 2, (5, 5, 5, 5, 5), ((3, 3, 2, 2, 2),))
         report = comparison_conditions(p)

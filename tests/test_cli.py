@@ -5,11 +5,13 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from helpers import wide_helper_document
-from ppir import load_scenario, scenario_io, validate_scenario, verify_mds
+from ppir import load_scenario, run_session, scenario_io, validate_scenario, verify_mds
 from ppir.cli import main
 from ppir.errors import MalformedScenario
 from ppir.fixtures import fixture_path
@@ -352,6 +354,33 @@ class TestRates:
         doc = json.loads(out.read_text())
         assert doc["rates"]["identified"] == ["1/10", "1/10"]
         assert doc["comparison_conditions"] is None
+
+    def test_naive_rate_sums_each_users_own_runs(self, tmp_path):
+        # User 1 holds nothing of class 4 (k_max 0), user 2 holds 10 of it (k_max 10):
+        # run alone, each downloads what its own k_max asks, 2 + 22 symbols, which
+        # beats the collaborative 33 at the users' joint k_max.
+        doc = {
+            "classes": [["random"] * 30] * 4,
+            "eta": 3,
+            "field_order": 101,
+            "seed": 0,
+            "symbols_per_message": 1,
+            "users": [
+                {"side_information": [list(range(1, 12))] * 3 + [[]]},
+                {"side_information": [list(range(12, 23))] * 3 + [list(range(1, 11))]},
+            ],
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rates.json"
+        proc = run_cli("rates", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rates = json.loads(out.read_text())["rates"]
+        assert rates["identified"] == ["1/2", "1/22"]
+        assert (rates["multi_user"], rates["naive_multi_user"]) == ("1/33", "1/24")
+        s = load_scenario(str(path)).scenario
+        downloaded = sum(run_session(replace(s, users=(si,)), 4).downloaded_symbols for si in s.users)
+        assert Fraction(rates["naive_multi_user"]) == Fraction(s.store.symbols_per_message, downloaded)
 
 
 class TestAudit:

@@ -66,7 +66,7 @@ class TestServerAnswer:
         s = fsi.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 1), (2, 1), (3, 2)))
-        answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
+        answer = answer_query(s.store, s.class_map, query, s.params.for_mode("single").per_user_known_budget, gen)
         assert len(answer.parities) == 1
 
     def test_generator_shape_checked(self, five_class):
@@ -80,7 +80,7 @@ class TestServerAnswer:
         for loaded, mode, demands in ((five_class, "single", 3), (two_user, "multi", (2, 3))):
             s = loaded.scenario
             trace = run_session(s, demands, seed=1, explicit_generator=loaded.explicit_generator)
-            expect_rows = s.class_count - s.params.disclosed_known_count(mode)
+            expect_rows = s.class_count - s.params.for_mode(mode).per_user_known_budget
             assert all(len(a.parities) == expect_rows for a in trace.answers)
 
 
@@ -101,7 +101,7 @@ class TestClientDecode:
         s = fsi.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 1), (2, 1), (3, 2)))  # exactly the user's side information
-        answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
+        answer = answer_query(s.store, s.class_map, query, s.params.for_mode("single").per_user_known_budget, gen)
         stored = {pair: s.store.symbols(s.class_map.pair_to_global(*pair)) for pair in query.pairs}
         assert decode_answer(query, answer, _placeable(s), gen) == stored
         blank = Answer(answer.query_index, tuple(tuple(0 for _ in row) for row in answer.parities))
@@ -118,7 +118,7 @@ class TestClientDecode:
         s = six_class.scenario
         gen = session_generator(s, "single")
         query = Query(1, ((1, 9), (2, 3), (3, 5), (4, 3), (5, 2), (6, 8)))
-        answer = answer_query(s.store, s.class_map, query, s.params.disclosed_known_count("single"), gen)
+        answer = answer_query(s.store, s.class_map, query, s.params.for_mode("single").per_user_known_budget, gen)
         assert len(answer.parities) == 4
         messages = decode_answer(query, answer, _placeable(s), gen)
         assert len(messages) == 6
@@ -264,7 +264,7 @@ class TestRunSession:
         s = Scenario(random_store(field, (4, 4, 4), 1, 0), sequential_class_map((4, 4, 4)), users, 1, 0)
         trace = run_session(s, v, seed=1, force=True)
         assert len(trace.answers) == 1
-        assert trace.rate == rate_isi(s.params.single_user(1)) == Fraction(1, 3)
+        assert trace.rate == rate_isi(s.params) == rate_isi(s.params.single_user(1)) == Fraction(1, 3)
         assert [u.user for u in trace.users] == [1]
         plan = plan_from_pairs(trace.plan_view[1], trace.plan_view[0])
         assert check_plan(s, (v,), plan, "single").ok
@@ -294,7 +294,7 @@ class TestRunSession:
             s = loaded.scenario
             trace = run_session(s, demands, seed=3, explicit_generator=loaded.explicit_generator)
             kun = s.params.max_unidentified_count
-            rows = s.class_count - s.params.disclosed_known_count(mode)
+            rows = s.class_count - s.params.for_mode(mode).per_user_known_budget
             expect_d = (kun + 1) * rows * s.store.symbols_per_message
             assert trace.downloaded_symbols == expect_d
             assert trace.rate == Fraction(s.store.symbols_per_message, expect_d)
@@ -315,7 +315,7 @@ def test_session_generator_prefers_matching_explicit(five_class):
     assert gen == five_class.explicit_generator
     # Shape mismatch falls back to the default construction.
     other = session_generator(s, "multi", five_class.explicit_generator)
-    assert other.n == s.params.code_length("multi")
+    assert other.n == s.params.for_mode("multi").code_length
 
 
 def test_generator_over_another_field_falls_back(five_class):
@@ -390,7 +390,7 @@ def test_loaded_generator_never_meets_a_singular_set(seed, q, data):
     # Over small fields random parity blocks often have singular minors: the
     # loader must refuse every generator that some demand's session cannot invert.
     s = random_single_scenario(random.Random(seed))
-    gamma, n = s.class_count, s.params.code_length("single")
+    gamma, n = s.class_count, s.params.for_mode("single").code_length
     assume(n <= q)
     parity = st.lists(st.integers(0, q - 1), min_size=n - gamma, max_size=n - gamma)
     rows = [[int(i == j) for j in range(gamma)] + data.draw(parity) for i in range(gamma)]

@@ -211,7 +211,7 @@ class TestSingleUserReduction:
 
     def test_one_user_collaboration_matches_single_user_shape(self):
         s = self._shared_scenario()
-        assert s.params.disclosed_known_count("multi") == s.params.disclosed_known_count("single")
+        assert s.params.for_mode("multi").per_user_known_budget == s.params.for_mode("single").per_user_known_budget
         for v in range(1, 5):
             for seed in range(10):
                 plan = generate_multi_user_plan(s, (v,), seed=seed)
@@ -580,7 +580,7 @@ def _reference_multi_plan(s, demands, chooser):
                 beta[t] = chooser.pick_fresh(sizes[t - 1], used[t])
                 used[t].add(beta[t])
         plan.append(queries.Query(j, tuple((i, beta[i]) for i in range(1, gamma + 1))))
-    return queries.QueryPlan(tuple(plan), s.params.disclosed_known_count("multi"))
+    return queries.QueryPlan(tuple(plan), s.params.for_mode("multi").per_user_known_budget)
 
 
 def _loose_multi_scenario(rng, users, block, largest):

@@ -200,8 +200,8 @@ def _assert_params_follow_definitions(s: Scenario) -> None:
     assert p.per_user_known_budget == budget
     assert p.helpers_split_evenly == (budget * users == eta - 1)
     for mode, d in (("single", eta - 1), ("multi", budget)):
-        assert p.disclosed_known_count(mode) == d
-        assert p.code_length(mode) == 2 * s.class_count - d
+        assert p.for_mode(mode).per_user_known_budget == d
+        assert p.for_mode(mode).code_length == 2 * s.class_count - d
 
 
 class TestRateParams:
@@ -224,7 +224,7 @@ class TestRateParams:
 
     def test_unknown_mode_refused(self, five_class):
         with pytest.raises(ValueError):
-            five_class.scenario.params.code_length("both")
+            five_class.scenario.params.for_mode("both")
 
 
 class TestRandomSymbols:
