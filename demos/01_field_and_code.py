@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exact field arithmetic and the systematic MDS code layer.
 
-Walks the worked [8, 5] code over GF(11): encoding two message rows, then
-recovering one of them from a mixed set of systematic and parity positions.
+Walks the worked [8, 5] code over GF(11): encoding two message rows,
+recovering one of them from a mixed set of systematic and parity positions,
+and checking that the default construction reproduces the published matrix.
 """
 
 from ppir import (
@@ -41,4 +42,5 @@ print(f"\nerasure decode from positions {positions} with values {values}:")
 print(f"  recovered {decode_from_positions(gen, positions, values)}")
 
 default = build_systematic_generator(8, 5, field)
-print(f"\ndefault construction for the same shape (deterministic): first row {default.rows[0]}")
+print(f"\ndefault [8, 5] construction, the code every session uses, "
+      f"reproduces the published matrix: {default == gen}")

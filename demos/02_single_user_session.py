@@ -9,8 +9,7 @@ server answers each with three parity rows and learns nothing else.
 from ppir import load_scenario, run_session, validate_scenario
 from ppir.fixtures import fixture_path
 
-loaded = load_scenario(str(fixture_path("five_class.json")))
-scenario = loaded.scenario
+scenario = load_scenario(str(fixture_path("five_class.json"))).scenario
 print(f"classes: {scenario.class_map.sizes}, identifiable: first {scenario.identifiable_count}")
 print(f"side-information counts per class: {scenario.users[0].counts}")
 print(f"largest unidentifiable count: {scenario.params.max_unidentified_count} "
@@ -19,7 +18,7 @@ print(f"largest unidentifiable count: {scenario.params.max_unidentified_count} "
 report = validate_scenario(scenario, "single")
 print(f"assumptions: {'all hold' if report.ok else report.failed()}")
 
-trace = run_session(scenario, 3, seed=5, explicit_generator=loaded.explicit_generator)
+trace = run_session(scenario, 3, seed=5)
 disclosed, queries = trace.plan_view
 print(f"\nserver sees only the code-dimension hint ({disclosed}) and these pairs:")
 for j, pairs in enumerate(queries, start=1):

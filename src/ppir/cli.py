@@ -18,11 +18,11 @@ store, a user gains no new message, or the plan breaks a selection rule).
 Identical inputs produce byte-identical output files.  ``--out`` writes the
 document over the existing file and then cuts a regular file to the
 document's length, so the file keeps its inode and links; a non-regular
-target (``/dev/null``, a FIFO) is written without truncation.  ``run`` warns
-on stderr when the file's explicit generator does not fit the run's [n, k]
-and the default code is used instead.  ``--mode`` is single iff the file has
-one user, unless given; single mode serves the first user alone, and
-validation refuses it on more users unless ``--force`` is given.
+target (``/dev/null``, a FIFO) is written without truncation.  Every run
+uses the default code; a scenario file that still names a generator of its
+own is a parse error (see ``scenario_io``).  ``--mode`` is single iff the
+file has one user, unless given; single mode serves the first user alone,
+and validation refuses it on more users unless ``--force`` is given.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ def _infer_mode(args, user_count: int) -> str:
 
 
 def cmd_run(args) -> int:
-    loaded = load_scenario(args.scenario)
-    scenario = loaded.scenario
+    scenario = load_scenario(args.scenario).scenario
     mode = _infer_mode(args, scenario.user_count)
     if not args.demand:
         print("error: at least one --demand is required", file=sys.stderr)
@@ -125,20 +124,7 @@ def cmd_run(args) -> int:
         demands = args.demand[0]
     else:
         demands = tuple(args.demand)
-    trace = run_session(
-        scenario,
-        demands,
-        seed=args.seed,
-        explicit_generator=loaded.explicit_generator,
-        force=args.force,
-    )
-    explicit = loaded.explicit_generator
-    if explicit is not None and (explicit.n, explicit.k) != (trace.code_length, trace.code_dimension):
-        print(
-            f"warning: explicit_generator is [{explicit.n},{explicit.k}] but this run needs "
-            f"[{trace.code_length},{trace.code_dimension}]; the default code was used",
-            file=sys.stderr,
-        )
+    trace = run_session(scenario, demands, seed=args.seed, force=args.force)
     return _emit(dump_json(trace_to_dict(trace)), args.out)
 
 
@@ -146,8 +132,7 @@ def cmd_audit(args) -> int:
     if args.runs < 1:
         print("error: --runs must be at least 1", file=sys.stderr)
         return EXIT_PARSE
-    loaded = load_scenario(args.scenario)
-    scenario = loaded.scenario
+    scenario = load_scenario(args.scenario).scenario
     mode = _infer_mode(args, scenario.user_count)
     report = privacy_report(
         scenario,
@@ -164,8 +149,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    loaded = load_scenario(args.scenario)
-    scenario = loaded.scenario
+    scenario = load_scenario(args.scenario).scenario
     validation = validate_scenario(scenario, _infer_mode(args, scenario.user_count))
     if not validation.ok:
         raise AssumptionViolated(validation)

@@ -29,16 +29,12 @@ class NotSystematic(PpirError):
     """Explicit generator's first k columns are not the identity."""
 
 
-class NotMDS(PpirError):
-    """Explicit generator is singular on a column set the decoder inverts, or has too many such sets to check."""
-
-
 class LengthMismatch(PpirError):
     """Vector length does not match the code dimension."""
 
 
 class SingularSubmatrix(PpirError):
-    """Erasure decoding hit a singular column set: the generator is not MDS, and the load check does not cover that set."""
+    """Erasure decoding hit a singular column set: only a caller-built generator that is not MDS has one."""
 
 
 # --- scenario model ---

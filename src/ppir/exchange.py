@@ -26,16 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 from typing import Optional
 
-from .errors import DimensionMismatch, InsufficientKnowns, NotMDS, RecoveryFailed
-from .mds import Generator, build_systematic_generator, decode_block, parity_block, singular_column_set
+from .errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
+from .mds import Generator, build_systematic_generator, decode_block, parity_block
 from .queries import Query, check_plan, generate_multi_user_plan, generate_single_user_plan
 from .scenario import ClassMap, MessageStore, Scenario
-
-MAX_DECODER_COLUMN_SETS = 2_000
 
 
 @dataclass(frozen=True)
@@ -117,33 +113,9 @@ def decode_answer(query: Query, answer: Answer, placeable: dict, generator: Gene
     return {pair: messages[idx] for idx, pair in enumerate(query.pairs)}
 
 
-def check_decoder_columns(s: Scenario, generator: Generator) -> None:
-    """Raise NotMDS unless decode_answer can invert every set it may meet with this generator:
-    decoder_columns(S) for the C(eta, hint) hint-subsets S of 1..eta, when k is the class
-    count and hint = 2k - n >= 0; more than MAX_DECODER_COLUMN_SETS are refused before any inversion."""
-    hint = 2 * generator.k - generator.n
-    if generator.k != s.class_count or hint < 0:
-        return
-    eta = s.identifiable_count
-    if (count := comb(eta, hint)) > MAX_DECODER_COLUMN_SETS:
-        raise NotMDS(f"C({eta}, {hint}) = {count} decoder column sets exceed the {MAX_DECODER_COLUMN_SETS} checked")
-    sets = (decoder_columns(known, generator) for known in combinations(range(1, eta + 1), hint))
-    bad = singular_column_set(generator, sets)
-    if bad is not None:
-        raise NotMDS(f"singular decoder column set {bad}")
-
-
-def session_generator(s: Scenario, mode: str, explicit: Optional[Generator] = None) -> Generator:
-    """The session's code: a supplied explicit generator when its shape and field fit, else the default construction.
-
-    A fitting explicit generator passes check_decoder_columns first (NotMDS otherwise),
-    so a caller-built one cannot end a session mid-decode."""
-    gamma = s.class_count
-    n = s.params.for_mode(mode).code_length
-    if explicit is not None and explicit.k == gamma and explicit.n == n and explicit.field == s.store.field:
-        check_decoder_columns(s, explicit)
-        return explicit
-    return build_systematic_generator(n, gamma, s.store.field)
+def session_generator(s: Scenario, mode: str) -> Generator:
+    """The session's code: the default systematic [2k - d, k] construction for the mode's disclosed count d."""
+    return build_systematic_generator(s.params.for_mode(mode).code_length, s.class_count, s.store.field)
 
 
 def run_session(
@@ -151,19 +123,17 @@ def run_session(
     demands,
     *,
     seed: Optional[int] = None,
-    explicit_generator: Optional[Generator] = None,
     force: bool = False,
 ) -> SessionTrace:
     """Full protocol round: plan, answers, each served user's decodes, rate accounting.
 
     ``demands`` is one class index (single mode: the first user's) or one per
-    user (collaborative).  Each user served gets every answer over the shared
-    link and decodes what it can; sessions are stateless, so decoded messages
-    are not folded back into side information.  Raises RecoveryFailed when the
+    user (collaborative).  The code is always ``session_generator``'s default
+    construction.  Each user served gets every answer over the shared link and
+    decodes what it can; sessions are stateless, so decoded messages are not
+    folded back into side information.  Raises RecoveryFailed when the
     plan breaks a selection rule of ``check_plan``, a decoded message differs
-    from the store, or a user gains no new message, and NotMDS (before the
-    server answers) when ``explicit_generator`` fits but some decoder column
-    set of it is singular.
+    from the store, or a user gains no new message.
     """
     if isinstance(demands, int):
         mode = "single"
@@ -179,7 +149,7 @@ def run_session(
             "plan breaks the selection rules: " + ", ".join(r.name for r in check.failed())
         )
 
-    gen = session_generator(s, mode, explicit_generator)
+    gen = session_generator(s, mode)
     answers = tuple(
         answer_query(s.store, s.class_map, q, plan.disclosed_known_count, gen)
         for q in plan.queries

@@ -7,10 +7,12 @@ It is computed with the codec's own primitives as V_k^-1 V, where V is the
 k x n Vandermonde matrix with rows x^e mod q and V_k its first k columns: one
 _column_inverse of V_k, then one _combine of that inverse with V's rows.
 Every k-column minor of V_k^-1 V is a nonzero Vandermonde minor over det V_k,
-so the default code is MDS for every n <= q.  An explicit one is checked on
-the column sets a session's decoder inverts (exchange.check_decoder_columns).
+so the default code is MDS for every n <= q.  Every session uses it.
+generator_from_explicit wraps a caller's own matrix after a format check, and
+verify_mds checks any generator's minors exhaustively.
 Erasure decoding recovers the message from k codeword positions by inverting
-their column submatrix; no error correction is attempted.
+their column submatrix (SingularSubmatrix when it is singular, which only a
+caller's non-MDS matrix allows); no error correction is attempted.
 
 The codec works on blocks of L symbol positions at once.  parity_block
 multiplies a k x L message block by the k x (n - k) parity columns only, and
@@ -98,17 +100,12 @@ def generator_from_explicit(rows, field: PrimeField) -> Generator:
 
 def verify_mds(gen: Generator) -> bool:
     """True iff every k-column submatrix is invertible: the exhaustive check, C(n, k) inversions."""
-    return singular_column_set(gen, itertools.combinations(range(1, gen.n + 1), gen.k)) is None
-
-
-def singular_column_set(gen: Generator, column_sets):
-    """The first of the ascending 1-based column sets whose submatrix is singular, else None."""
-    for cols in map(tuple, column_sets):
+    for cols in itertools.combinations(range(1, gen.n + 1), gen.k):
         try:
             _column_inverse(gen, cols)
         except SingularSubmatrix:
-            return cols
-    return None
+            return False
+    return True
 
 
 def encode(gen: Generator, message) -> tuple[int, ...]:

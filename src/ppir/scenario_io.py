@@ -14,9 +14,11 @@ Scenario schema (all indices 1-based):
       "users": [                    // one entry per user
         {"side_information": [[3, 4, 7], [1, 2], ...],   // subclass indices per class
          "identified_classes": [1, 2, 3]}                // optional; must equal [1..eta]
-      ],
-      "explicit_generator": [[...], ...]   // optional systematic k x n matrix; minors checked
-    }                                      // on the decoder's sets only (exchange.check_decoder_columns)
+      ]
+    }
+
+Every session uses the default code, so a document with an
+"explicit_generator" key (even null) is refused before anything is read.
 
 Global message indices are assigned in listing order (class 1 first).
 "random" symbols expand deterministically from (seed, global index, symbol
@@ -26,7 +28,7 @@ is refused before any message is built.
 
 Trace, report, rates and validation documents all leave through dump_json in
 one canonical format, so identical inputs give byte-identical files: sorted
-keys, two-space indent, ", " and ": " separators, ASCII-escaped strings and a
+keys, two-space indent, "," and ": " separators, ASCII-escaped strings and a
 trailing newline.  These are the bytes the standard json module writes with
 sort_keys=True, indent=2 and separators=(",", ": "), plus "\\n".  Documents
 hold only dicts with str keys, lists, tuples, str, int, bool and None;
@@ -39,7 +41,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper
-from typing import Optional
 
 from .analytics import (
     ComparisonReport,
@@ -50,9 +51,8 @@ from .analytics import (
     rate_usi,
 )
 from .errors import MalformedScenario, PpirError
-from .exchange import SessionTrace, check_decoder_columns
+from .exchange import SessionTrace
 from .field import PrimeField
-from .mds import Generator, generator_from_explicit
 from .scenario import (
     MessageStore,
     RateParams,
@@ -75,7 +75,6 @@ MAX_STORE_SYMBOLS = 10**7
 @dataclass(frozen=True)
 class LoadedScenario:
     scenario: Scenario
-    explicit_generator: Optional[Generator]
 
 
 def _require(doc: dict, key: str, kind) -> object:
@@ -90,6 +89,8 @@ def _require(doc: dict, key: str, kind) -> object:
 def scenario_from_dict(doc: dict) -> LoadedScenario:
     if not isinstance(doc, dict):
         raise MalformedScenario("scenario document must be a JSON object")
+    if "explicit_generator" in doc:
+        raise MalformedScenario("explicit_generator is no longer accepted: every session uses the default code")
     order = _require(doc, "field_order", int)
     length = _require(doc, "symbols_per_message", int)
     eta = _require(doc, "eta", int)
@@ -171,17 +172,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
     except PpirError as exc:
         raise MalformedScenario(str(exc)) from exc
 
-    explicit = None
-    if "explicit_generator" in doc and doc["explicit_generator"] is not None:
-        matrix = doc["explicit_generator"]
-        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-            raise MalformedScenario("explicit_generator must be a matrix (array of rows)")
-        try:
-            explicit = generator_from_explicit(matrix, field)
-            check_decoder_columns(scenario, explicit)
-        except PpirError as exc:
-            raise MalformedScenario(f"bad explicit_generator: {exc}") from exc
-    return LoadedScenario(scenario, explicit)
+    return LoadedScenario(scenario)
 
 
 def load_scenario(path) -> LoadedScenario:
@@ -285,7 +276,7 @@ def privacy_to_dict(report: PrivacyReport) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, ", " and ": "
+    """Canonical serialization: sorted keys, two-space indent, "," and ": "
     separators, ASCII-escaped strings, trailing newline.
 
     Accepts dicts with str keys, lists, tuples, str, int, bool and None;

@@ -12,7 +12,8 @@ from fractions import Fraction
 from . import analytics, mds
 from .field import PrimeField
 
-# The worked 5-message code over GF(11) and its two encoded rows.
+# The worked 5-message code over GF(11), which is also the default [8, 5] code,
+# and its two encoded rows.
 GOLDEN_MATRIX = (
     (1, 0, 0, 0, 0, 1, 5, 4),
     (0, 1, 0, 0, 0, 6, 9, 7),
@@ -69,6 +70,10 @@ def _check_generator_accepted():
 
 def _check_generator_mds():
     assert mds.verify_mds(_generator())
+
+
+def _check_default_code_is_worked_matrix():
+    assert mds.build_systematic_generator(8, 5, PrimeField(11)).rows == GOLDEN_MATRIX
 
 
 def _check_encode_first_row():
@@ -141,6 +146,7 @@ def _check_unequal_users_naive_rate():
 CHECKS = (
     ("generator_accepted", _check_generator_accepted),
     ("generator_mds", _check_generator_mds),
+    ("default_code_is_worked_matrix", _check_default_code_is_worked_matrix),
     ("encode_first_row", _check_encode_first_row),
     ("encode_second_row", _check_encode_second_row),
     ("decode_mixed_positions", _check_decode_mixed_positions),

@@ -109,17 +109,16 @@ def protocol_sweep():
     """Run every (scenario, demand, seed) session once; criteria 4-6 assert on the record."""
     cases = []
     for name in ("five_class.json", "six_class.json", "two_user_seven_class.json"):
-        loaded = load_fixture(name)
-        cases.append((name, loaded.scenario, loaded.explicit_generator))
+        cases.append((name, load_fixture(name).scenario))
     rng = random.Random(20240)
     for i in range(RANDOM_SINGLE_SCENARIOS):
-        cases.append((f"random_single_{i}", random_single_scenario(rng), None))
+        cases.append((f"random_single_{i}", random_single_scenario(rng)))
     for i in range(RANDOM_MULTI_SCENARIOS):
-        cases.append((f"random_multi_{i}", random_multi_scenario(rng), None))
+        cases.append((f"random_multi_{i}", random_multi_scenario(rng)))
 
     record = {"sessions": 0, "recovered": 0, "non_repetition": 0, "rate_identity": 0}
     start = time.perf_counter()
-    for name, scenario, explicit in cases:
+    for name, scenario in cases:
         params = RateParams.from_scenario(scenario)
         if scenario.user_count == 1:
             demand_space = [v for v in range(1, scenario.class_count + 1)]
@@ -134,7 +133,7 @@ def protocol_sweep():
         expected_d = scenario.params.query_count * rows * scenario.store.symbols_per_message
         for demands in demand_space:
             for seed in range(SEEDS_PER_DEMAND):
-                trace = run_session(scenario, demands, seed=seed, explicit_generator=explicit)
+                trace = run_session(scenario, demands, seed=seed)
                 record["sessions"] += 1
                 if all(u.new_messages for u in trace.users):
                     record["recovered"] += 1

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import subprocess
 import sys
 import threading
@@ -11,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import wide_helper_document
-from ppir import load_scenario, run_session, scenario_io, validate_scenario, verify_mds
+from ppir import PrimeField, build_systematic_generator, load_scenario, run_session, scenario_io, validate_scenario
 from ppir.cli import main
 from ppir.errors import MalformedScenario
 from ppir.fixtures import fixture_path
-from ppir.selftest import CHECKS, run_selftest
+from ppir.selftest import CHECKS, GOLDEN_MATRIX, run_selftest
 
 
 def run_cli(*args, timeout=None, max_bytes=None):
@@ -109,12 +108,10 @@ class TestRun:
             pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), True, id="bool-index"),
             pytest.param("five_class.json", ("users", 0, "side_information", 0, 0), [3], id="array-index"),
             pytest.param("five_class.json", ("users", 0, "identified_classes"), 5, id="identified-classes-int"),
-            pytest.param("five_class.json", ("explicit_generator", 0), 5, id="generator-row-int"),
             # JSON true is a Python int; each of these would otherwise load as 1.
             pytest.param("tiny_two_class.json", ("eta",), True, id="bool-eta"),
             pytest.param("tiny_two_class.json", ("seed",), True, id="bool-seed"),
             pytest.param("tiny_two_class.json", ("symbols_per_message",), True, id="bool-symbols-per-message"),
-            pytest.param("five_class.json", ("explicit_generator", 0, 0), True, id="bool-generator-entry"),
             pytest.param("five_class.json", ("classes", 0, 2, 1), True, id="bool-symbol"),
             pytest.param("five_class.json", ("users", 0, "identified_classes", 0), True, id="bool-identified-class"),
             # One case per input check the model classes own.
@@ -195,36 +192,6 @@ class TestRun:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
-
-    def test_misfit_explicit_generator_warns(self, tmp_path):
-        # With eta = 2 a single-user run needs n = 2*5 - 1 = 9, so the file's
-        # [8,5] generator cannot be used; the run says so and otherwise behaves
-        # exactly as if the file had no generator.
-        doc = json.loads(fixture_path("five_class.json").read_text())
-        doc["eta"] = 2
-        doc["users"][0]["identified_classes"] = [1, 2]
-        misfit = tmp_path / "misfit.json"
-        misfit.write_text(json.dumps(doc))
-        del doc["explicit_generator"]
-        plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps(doc))
-        traces = []
-        for path in (misfit, plain):
-            out = tmp_path / f"{path.stem}.trace.json"
-            proc = run_cli("run", str(path), "--demand", "1", "--force", "--out", str(out))
-            assert proc.returncode == 0, proc.stderr
-            traces.append((proc.stderr, out.read_bytes()))
-        (warned, misfit_trace), (silent, plain_trace) = traces
-        assert misfit_trace == plain_trace
-        assert silent == ""
-        lines = warned.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning:")
-        assert "[8,5]" in lines[0] and "[9,5]" in lines[0]
-
-    def test_fitting_explicit_generator_is_silent(self):
-        proc = run_cli("run", fixture("five_class.json"), "--demand", "1")
-        assert proc.returncode == 0
-        assert proc.stderr == ""
 
     def test_many_helper_partitions_run(self, tmp_path):
         # eta = 22 across three users: the plan check must not try every helper
@@ -556,70 +523,51 @@ def test_store_cap_is_inclusive_and_checked_before_any_row(tmp_path, monkeypatch
         load_scenario(path)
 
 
-def rank_nine_parity_document():
-    """Ten classes, one identifiable, q = 2**31 - 1: the decoder inverts only the
-    all-parity columns 11..20, and the parity block's last row combines the others."""
-    q = 2**31 - 1
-    rng = random.Random(3)
-    parity = [[rng.randrange(q) for _ in range(10)] for _ in range(9)]
-    weights = [rng.randrange(1, q) for _ in range(9)]
-    parity.append([sum(w * row[j] for w, row in zip(weights, parity)) % q for j in range(10)])
+def five_class_with(generator):
+    doc = json.loads(fixture_path("five_class.json").read_text())
+    doc["explicit_generator"] = generator
+    return doc
+
+
+def wide_default_rows_document():
+    """Two users, 100 classes of 4, eta = 13, q = 197, carrying the default
+    [194, 100] code's own rows: checking their decoder sets once took minutes."""
+    gamma, eta, q = 100, 13, 197
     return {
         "field_order": q,
-        "symbols_per_message": 2,
-        "eta": 1,
-        "classes": [["random"] * 2 for _ in range(10)],
-        "users": [{"side_information": [[1]] + [[]] * 9}],
-        "explicit_generator": [[int(i == j) for j in range(10)] + parity[i] for i in range(10)],
-    }
-
-
-@pytest.mark.parametrize("command", ["run", "audit", "rates"])
-def test_generator_singular_on_a_decoder_set_exits_2(tmp_path, capsys, command):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(rank_nine_parity_document()))
-    assert main(list(command_on(command, path))) == 2
-    out, err = capsys.readouterr()
-    assert err == f"parse error: bad explicit_generator: singular decoder column set {tuple(range(11, 21))}\n"
-    assert out == ""
-
-
-def test_generator_singular_only_off_the_decoder_sets_loads(tmp_path, capsys):
-    # five_class decodes from two of the identifiable columns 1..3 plus the
-    # parities 6..8.  A zero at row 5, column 6 makes columns (1, 2, 3, 4, 6)
-    # singular, and every such set holds an unidentifiable column.
-    doc = json.loads(fixture_path("five_class.json").read_text())
-    doc["explicit_generator"][4][5] = 0
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    generator = load_scenario(path).explicit_generator
-    assert not verify_mds(generator)
-    for demand in range(1, 6):
-        assert main(["run", str(path), "--demand", str(demand), "--out", os.devnull]) == 0
-    assert capsys.readouterr() == ("", "")
-
-
-@pytest.mark.parametrize("command", ["run", "audit", "rates"])
-def test_too_many_decoder_sets_exits_2_at_once(tmp_path, capsys, command):
-    # 25 identifiable classes over 8 users disclose (25 - 1) / 8 = 3 known
-    # positions, so a [49, 26] generator has C(25, 3) = 2,300 decoder column sets.
-    k, n, q = 26, 49, 101
-    doc = {
-        "field_order": q,
         "symbols_per_message": 1,
-        "eta": 25,
-        "classes": [["random"] * 4 for _ in range(k)],
-        "users": [{"side_information": [[1 + u % 4]] * k} for u in range(8)],
-        "explicit_generator": [[int(i == j) for j in range(k)] + [1 + (i * j) % (q - 1) for j in range(n - k)] for i in range(k)],
+        "eta": eta,
+        "classes": [["random"] * 4 for _ in range(gamma)],
+        "users": [
+            {"side_information": [[1, 2]] * eta + [[1]] * (gamma - eta)},
+            {"side_information": [[3, 4]] * eta + [[2]] * (gamma - eta)},
+        ],
+        "explicit_generator": [list(r) for r in build_systematic_generator(194, gamma, PrimeField(q)).rows],
     }
+
+
+GENERATOR_DOCUMENTS = {
+    "five-class-matrix": lambda: five_class_with([list(r) for r in GOLDEN_MATRIX]),
+    "null": lambda: five_class_with(None),
+    "wide-default-rows": wide_default_rows_document,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rates"])
+@pytest.mark.parametrize("name", list(GENERATOR_DOCUMENTS))
+def test_generator_key_exits_2_at_once(tmp_path, name, command):
+    # Every session uses the default code, so a document that names a
+    # generator, even the default one or null, is refused before it is read.
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(GENERATOR_DOCUMENTS[name]()))
     start = time.perf_counter()
-    assert main(list(command_on(command, path))) == 2
+    proc = run_cli(*command_on(command, path), timeout=20)
     assert time.perf_counter() - start < 1.0
-    out, err = capsys.readouterr()
-    assert err == "parse error: bad explicit_generator: C(25, 3) = 2300 decoder column sets exceed the 2000 checked\n"
-    assert out == ""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "parse error: explicit_generator is no longer accepted: every session uses the default code"
+    ]
+    assert proc.stdout == ""
 
 
 def run_cli_closed_stdout(*args):

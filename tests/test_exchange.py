@@ -1,14 +1,11 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 import ppir.exchange as exchange
-import ppir.mds as mds
 import ppir.queries as queries
 from ppir import cli
-from helpers import FIVE_CLASS_DEMAND3_QUERIES, published_plan, random_single_scenario
+from helpers import FIVE_CLASS_DEMAND3_QUERIES, published_plan
 from ppir import (
     Answer,
     MessageStore,
@@ -19,7 +16,6 @@ from ppir import (
     check_plan,
     decode_answer,
     generate_single_user_plan,
-    generator_from_explicit,
     plan_from_pairs,
     random_store,
     rate_isi,
@@ -27,12 +23,11 @@ from ppir import (
     sequential_class_map,
     session_generator,
 )
-from ppir.errors import DimensionMismatch, InsufficientKnowns, MalformedScenario, NotMDS, RecoveryFailed
-from ppir.exchange import check_decoder_columns, decoder_columns
+from ppir.errors import DimensionMismatch, InsufficientKnowns, RecoveryFailed
+from ppir.exchange import decoder_columns
 from ppir.field import PrimeField
 from ppir.fixtures import fixture_path
 from ppir.queries import Query, QueryPlan
-from ppir.scenario_io import scenario_from_dict
 
 
 def _placeable(scenario, user=0):
@@ -48,7 +43,7 @@ def _placeable(scenario, user=0):
 class TestServerAnswer:
     def test_published_parities(self, five_class):
         s = five_class.scenario
-        gen = five_class.explicit_generator
+        gen = session_generator(s, "single")
         query = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2).queries[0]
         answer = answer_query(s.store, s.class_map, query, 2, gen)
         assert answer.parities == ((10, 0), (8, 0), (10, 7))
@@ -59,7 +54,7 @@ class TestServerAnswer:
             s.store.field, tuple((0, 0) for _ in range(s.store.message_count))
         )
         query = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2).queries[0]
-        answer = answer_query(zero_store, s.class_map, query, 2, five_class.explicit_generator)
+        answer = answer_query(zero_store, s.class_map, query, 2, session_generator(s, "single"))
         assert all(v == 0 for row in answer.parities for v in row)
 
     def test_fully_identifiable_single_parity_row(self, fsi):
@@ -79,7 +74,7 @@ class TestServerAnswer:
     def test_parity_rows_match_disclosed_count(self, five_class, two_user):
         for loaded, mode, demands in ((five_class, "single", 3), (two_user, "multi", (2, 3))):
             s = loaded.scenario
-            trace = run_session(s, demands, seed=1, explicit_generator=loaded.explicit_generator)
+            trace = run_session(s, demands, seed=1)
             expect_rows = s.class_count - s.params.for_mode(mode).per_user_known_budget
             assert all(len(a.parities) == expect_rows for a in trace.answers)
 
@@ -87,7 +82,7 @@ class TestServerAnswer:
 class TestClientDecode:
     def test_published_decode(self, five_class):
         s = five_class.scenario
-        gen = five_class.explicit_generator
+        gen = session_generator(s, "single")
         query = published_plan(FIVE_CLASS_DEMAND3_QUERIES, 2).queries[0]
         answer = answer_query(s.store, s.class_map, query, 2, gen)
         messages = decode_answer(query, answer, _placeable(s), gen)
@@ -108,7 +103,7 @@ class TestClientDecode:
         assert decode_answer(query, blank, _placeable(s), gen) != stored
 
     def test_decoder_columns_are_the_first_known_then_every_parity(self, five_class):
-        gen = five_class.explicit_generator  # [8, 5]: 2k - n = 2 known positions
+        gen = session_generator(five_class.scenario, "single")  # [8, 5]: 2k - n = 2 known positions
         assert decoder_columns({1: (), 3: ()}, gen) == [1, 3, 6, 7, 8]
         assert decoder_columns({1: (), 2: (), 3: ()}, gen) == [1, 2, 6, 7, 8]
 
@@ -127,7 +122,7 @@ class TestClientDecode:
 
     def test_insufficient_knowns(self, five_class):
         s = five_class.scenario
-        gen = five_class.explicit_generator
+        gen = session_generator(s, "single")
         # No identifiable-class index is in the side information here.
         query = Query(1, ((1, 1), (2, 3), (3, 5), (4, 1), (5, 4)))
         answer = answer_query(s.store, s.class_map, query, 2, gen)
@@ -137,7 +132,7 @@ class TestClientDecode:
 
 class TestRunSession:
     def test_five_class_rate(self, five_class):
-        trace = run_session(five_class.scenario, 3, seed=5, explicit_generator=five_class.explicit_generator)
+        trace = run_session(five_class.scenario, 3, seed=5)
         assert trace.rate == Fraction(1, 12)
         assert trace.downloaded_symbols == 24
         assert trace.code_length == 8 and trace.code_dimension == 5
@@ -160,7 +155,7 @@ class TestRunSession:
             for b in s.users[0].oracle_indices(i)
         }
         for v in range(1, 6):
-            trace = run_session(s, v, seed=v, explicit_generator=five_class.explicit_generator)
+            trace = run_session(s, v, seed=v)
             result = trace.users[0]
             assert result.new_messages
             for i, beta, f in result.new_messages:
@@ -179,14 +174,14 @@ class TestRunSession:
         s = five_class.scenario
         for seed in range(10):
             plan = generate_single_user_plan(s, 1, seed=seed)
-            trace = run_session(s, 1, seed=seed, explicit_generator=five_class.explicit_generator)
+            trace = run_session(s, 1, seed=seed)
             rules = {r.name: r for r in check_plan(s, (1,), plan, "single").rules}
             designated = rules["designated_query"].witnesses
             assert designated and set(designated) <= set(trace.users[0].decoded_queries)
 
     def test_decoded_symbols_match_store(self, five_class):
         s = five_class.scenario
-        trace = run_session(s, 4, seed=9, explicit_generator=five_class.explicit_generator)
+        trace = run_session(s, 4, seed=9)
         held = _placeable(s)
         for i, beta, f in trace.users[0].decoded:
             if (i, beta) in held:
@@ -206,7 +201,7 @@ class TestRunSession:
         for loaded, demands in ((five_class, 3), (six_class, 4), (two_user, (2, 3))):
             s = loaded.scenario
             seen.clear()
-            trace = run_session(s, demands, seed=2, explicit_generator=loaded.explicit_generator)
+            trace = run_session(s, demands, seed=2)
             per_user = len(trace.answers)
             assert len(seen) == s.user_count * per_user
             for k, placeable in enumerate(seen):
@@ -221,8 +216,8 @@ class TestRunSession:
         # Replaying the server on the trace's own projection must reproduce
         # the answers exactly: nothing beyond the projection reached it.
         s = five_class.scenario
-        gen = five_class.explicit_generator
-        trace = run_session(s, 3, seed=11, explicit_generator=gen)
+        gen = session_generator(s, "single")
+        trace = run_session(s, 3, seed=11)
         disclosed, queries = trace.plan_view
         for answer, pairs in zip(trace.answers, queries):
             replay = answer_query(s.store, s.class_map, Query(answer.query_index, pairs), disclosed, gen)
@@ -283,7 +278,7 @@ class TestRunSession:
 
         monkeypatch.setattr(exchange, "answer_query", corrupt)
         with pytest.raises(RecoveryFailed, match="differs from the store"):
-            run_session(five_class.scenario, 3, seed=5, explicit_generator=five_class.explicit_generator)
+            run_session(five_class.scenario, 3, seed=5)
 
     def test_rate_identity_measured_vs_closed_form(self, five_class, six_class, two_user):
         for loaded, demands, mode in (
@@ -292,7 +287,7 @@ class TestRunSession:
             (two_user, (4, 5), "multi"),
         ):
             s = loaded.scenario
-            trace = run_session(s, demands, seed=3, explicit_generator=loaded.explicit_generator)
+            trace = run_session(s, demands, seed=3)
             kun = s.params.max_unidentified_count
             rows = s.class_count - s.params.for_mode(mode).per_user_known_budget
             expect_d = (kun + 1) * rows * s.store.symbols_per_message
@@ -307,100 +302,6 @@ class TestRunSession:
         negative = Scenario(s.store, s.class_map, s.users, s.identifiable_count, seed=-1)
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             run_session(negative, 2)
-
-
-def test_session_generator_prefers_matching_explicit(five_class):
-    s = five_class.scenario
-    gen = session_generator(s, "single", five_class.explicit_generator)
-    assert gen == five_class.explicit_generator
-    # Shape mismatch falls back to the default construction.
-    other = session_generator(s, "multi", five_class.explicit_generator)
-    assert other.n == s.params.for_mode("multi").code_length
-
-
-def test_generator_over_another_field_falls_back(five_class):
-    s = five_class.scenario
-    other = build_systematic_generator(8, 5, PrimeField(13))
-    trace = run_session(s, 3, seed=5, explicit_generator=other)
-    assert trace == run_session(s, 3, seed=5)  # the default [8, 5] code over GF(11)
-    assert all(v < 11 for a in trace.answers for row in a.parities for v in row)
-
-
-def test_caller_built_singular_generator_refused_before_answers(five_class, monkeypatch):
-    # Parity column 6 zeroed: the decoder set (1, 2, 6, 7, 8) is singular.  A
-    # library caller skips the loader, so the session itself must refuse it.
-    gen = five_class.explicit_generator
-    zeroed = generator_from_explicit([row[:5] + (0,) + row[6:] for row in gen.rows], gen.field)
-
-    def no_answer(*args):
-        raise AssertionError("the server answered")
-
-    monkeypatch.setattr(exchange, "answer_query", no_answer)
-    with pytest.raises(NotMDS, match=r"singular decoder column set \(1, 2, 6, 7, 8\)"):
-        run_session(five_class.scenario, 3, seed=5, explicit_generator=zeroed)
-
-
-class TestDecoderColumnCheck:
-    def test_checks_exactly_the_decoder_sets(self, five_class, monkeypatch):
-        seen = []
-
-        def record(gen, sets):
-            seen.extend(sets)
-
-        monkeypatch.setattr(exchange, "singular_column_set", record)
-        check_decoder_columns(five_class.scenario, five_class.explicit_generator)
-        assert seen == [[1, 2, 6, 7, 8], [1, 3, 6, 7, 8], [2, 3, 6, 7, 8]]
-
-    def test_set_count_refused_before_any_inversion(self, five_class, monkeypatch):
-        def no_inverse(*args):
-            raise AssertionError("a column set was inverted")
-
-        monkeypatch.setattr(mds, "_column_inverse", no_inverse)
-        monkeypatch.setattr(exchange, "MAX_DECODER_COLUMN_SETS", 2)
-        with pytest.raises(NotMDS, match=r"C\(3, 2\) = 3 decoder column sets exceed the 2 checked"):
-            check_decoder_columns(five_class.scenario, five_class.explicit_generator)
-
-    @pytest.mark.parametrize("n,k", [(7, 4), (11, 5)], ids=["k-not-class-count", "n-above-2k"])
-    def test_generator_no_session_uses_is_not_checked(self, five_class, n, k):
-        zero_parities = generator_from_explicit(
-            [[int(i == j) for j in range(k)] + [0] * (n - k) for i in range(k)], PrimeField(11)
-        )
-        check_decoder_columns(five_class.scenario, zero_parities)
-
-
-def _document(s: Scenario, q: int, generator_rows) -> dict:
-    """A scenario document of ``s`` over GF(q), its symbols taken mod q."""
-    return {
-        "field_order": q,
-        "symbols_per_message": s.store.symbols_per_message,
-        "eta": s.identifiable_count,
-        "seed": s.seed,
-        "classes": [
-            [[v % q for v in s.store.symbols(s.class_map.pair_to_global(i, b))] for b in range(1, size + 1)]
-            for i, size in enumerate(s.class_map.sizes, start=1)
-        ],
-        "users": [{"side_information": [sorted(ix) for ix in si.indices]} for si in s.users],
-        "explicit_generator": generator_rows,
-    }
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32), q=st.sampled_from([5, 7, 11]), data=st.data())
-def test_loaded_generator_never_meets_a_singular_set(seed, q, data):
-    # Over small fields random parity blocks often have singular minors: the
-    # loader must refuse every generator that some demand's session cannot invert.
-    s = random_single_scenario(random.Random(seed))
-    gamma, n = s.class_count, s.params.for_mode("single").code_length
-    assume(n <= q)
-    parity = st.lists(st.integers(0, q - 1), min_size=n - gamma, max_size=n - gamma)
-    rows = [[int(i == j) for j in range(gamma)] + data.draw(parity) for i in range(gamma)]
-    try:
-        loaded = scenario_from_dict(_document(s, q, rows))
-    except MalformedScenario:
-        return
-    assert session_generator(loaded.scenario, "single", loaded.explicit_generator) is loaded.explicit_generator
-    for v in range(1, gamma + 1):
-        run_session(loaded.scenario, v, explicit_generator=loaded.explicit_generator)
 
 
 def test_default_generator_sessions_also_recover(six_class):
@@ -430,7 +331,7 @@ class TestPlanPostcondition:
 
     def test_run_session_refuses_repeated_index(self, five_class, repeating_builder):
         with pytest.raises(RecoveryFailed, match=r"selection rules: non_repetition$"):
-            run_session(five_class.scenario, 3, seed=5, explicit_generator=five_class.explicit_generator)
+            run_session(five_class.scenario, 3, seed=5)
 
     def test_cli_exits_4(self, repeating_builder, capsys):
         path = str(fixture_path("five_class.json"))

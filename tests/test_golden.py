@@ -133,9 +133,7 @@ def session_digest(name: str, seed: int, mode=None) -> str:
     digest = hashlib.sha256()
     for demands in demand_space:
         try:
-            trace = run_session(
-                s, demands, seed=seed, explicit_generator=loaded.explicit_generator, force=force
-            )
+            trace = run_session(s, demands, seed=seed, force=force)
         except PpirError as exc:
             digest.update(f"{type(exc).__name__}\n".encode())
         else:

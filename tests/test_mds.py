@@ -10,10 +10,9 @@ from ppir.errors import (
     FieldTooSmall,
     LengthMismatch,
     NonPrimeOrder,
-    NotMDS,
     NotSystematic,
+    SingularSubmatrix,
 )
-from ppir.exchange import check_decoder_columns
 from ppir.field import MAX_ORDER, PrimeField
 from ppir.mds import (
     Generator,
@@ -25,7 +24,6 @@ from ppir.mds import (
     parity_block,
     verify_mds,
 )
-from ppir.scenario_io import scenario_from_dict
 from ppir.selftest import (
     GOLDEN_CODEWORD_1,
     GOLDEN_CODEWORD_2,
@@ -93,16 +91,13 @@ class TestExplicit:
         assert verify_mds(golden)
 
     def test_zero_column_rejected(self):
-        # Two identifiable classes and 2k - n = 1: the decoder inverts columns
-        # (1, 3) and (2, 3), and the zero column 3 lies in both.
+        # The zero parity column 3 makes both column sets (1, 3) and (2, 3)
+        # singular, so decoding from either names the set instead of guessing.
         gen = generator_from_explicit([[1, 0, 0], [0, 1, 0]], PrimeField(11))
-        two_classes = scenario_from_dict(
-            {"field_order": 11, "symbols_per_message": 1, "eta": 2,
-             "classes": [["random", "random"]] * 2, "users": [{"side_information": [[1], [1]]}]}
-        ).scenario
-        with pytest.raises(NotMDS) as err:
-            check_decoder_columns(two_classes, gen)
-        assert "(1, 3)" in str(err.value)  # names the singular column set
+        for positions in ((1, 3), (2, 3)):
+            with pytest.raises(SingularSubmatrix) as err:
+                decode_from_positions(gen, positions, (0, 0))
+            assert str(positions) in str(err.value)
 
     def test_format_check_only(self):
         # generator_from_explicit checks no minor: a zero parity column passes it.
