@@ -33,20 +33,31 @@ from .field import PrimeField
 
 @dataclass(frozen=True)
 class MessageStore:
-    """All messages held by the server: message_count rows of symbols_per_message field symbols."""
+    """All messages held by the server: message_count rows of symbols_per_message field symbols.
+
+    ``messages`` holds one row per message.  A ``None`` row is a "random"
+    message: :meth:`symbols` makes it with :func:`random_row` from ``seed`` the
+    first time it is read, and keeps it.  A store with such rows needs
+    ``symbols_per_message``; otherwise row 0 gives the length.  Every explicit
+    row is checked symbol by symbol here, when the store is built.
+    """
 
     field: PrimeField
-    messages: tuple[tuple[int, ...], ...]
+    messages: tuple[tuple[int, ...] | None, ...]
+    symbols_per_message: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         rows = list(self.messages)
         if len(rows) < 2:
             raise MalformedScenario("need at least 2 messages")
-        length = len(rows[0])
+        length = len(rows[0]) if self.symbols_per_message is None else self.symbols_per_message
         if length < 1:
             raise MalformedScenario("messages need at least 1 symbol")
         q = self.field.order
         for f, row in enumerate(rows, start=1):
+            if row is None:
+                continue
             if len(row) != length:
                 raise MalformedScenario(f"message {f} has {len(row)} symbols, expected {length}")
             for v in row:
@@ -55,19 +66,22 @@ class MessageStore:
             if type(row) is not tuple:  # decoded rows are tuples and must compare equal
                 rows[f - 1] = tuple(row)
         object.__setattr__(self, "messages", tuple(rows))
+        object.__setattr__(self, "symbols_per_message", length)
+        object.__setattr__(self, "_made", {})
 
     @property
     def message_count(self) -> int:
         return len(self.messages)
 
-    @property
-    def symbols_per_message(self) -> int:
-        return len(self.messages[0])
-
     def symbols(self, f: int) -> tuple[int, ...]:
         if not 1 <= f <= self.message_count:
             raise OutOfRange(f"message index {f} outside [1, {self.message_count}]")
-        return self.messages[f - 1]
+        row = self.messages[f - 1]
+        if row is None:
+            row = self._made.get(f)
+            if row is None:
+                row = self._made[f] = random_row(self.seed, f, self.symbols_per_message, self.field.order)
+        return row
 
 
 @dataclass(frozen=True)
@@ -410,13 +424,14 @@ def random_symbol(seed: int, message_index: int, symbol_index: int, order: int) 
     return int.from_bytes(digest, "big") % order
 
 
+def random_row(seed: int, message_index: int, symbols_per_message: int, order: int) -> tuple[int, ...]:
+    """Message ``message_index`` of a "random" store: its symbols 1..L by random_symbol."""
+    return tuple(random_symbol(seed, message_index, ell, order) for ell in range(1, symbols_per_message + 1))
+
+
 def random_store(field: PrimeField, class_sizes, symbols_per_message: int, seed: int) -> MessageStore:
-    """Store with every symbol drawn by random_symbol; classes are filled in listing order."""
-    total = sum(class_sizes)
-    rows = tuple(
-        tuple(random_symbol(seed, f, ell, field.order) for ell in range(1, symbols_per_message + 1))
-        for f in range(1, total + 1)
-    )
+    """Store with every row made by random_row; classes are filled in listing order."""
+    rows = tuple(random_row(seed, f, symbols_per_message, field.order) for f in range(1, sum(class_sizes) + 1))
     return MessageStore(field, rows)
 
 

@@ -21,10 +21,13 @@ Every session uses the default code, so a document with an
 "explicit_generator" key (even null) is refused before anything is read.
 
 Global message indices are assigned in listing order (class 1 first).
-"random" symbols expand deterministically from (seed, global index, symbol
-position); see scenario.random_symbol.  A document whose store would hold
-more than MAX_STORE_SYMBOLS symbols (message count times symbols_per_message)
-is refused before any message is built.
+Explicit symbol arrays are checked in full while the document loads.  A
+"random" message is not expanded then: the store makes it deterministically
+from (seed, global index, symbol position) the first time a session reads
+it (see scenario.random_row), so loading, validation, rates and audits cost
+nothing per random message beyond its descriptor.  A document whose store
+would hold more than MAX_STORE_SYMBOLS symbols (message count times
+symbols_per_message) is refused before any message is read.
 
 Trace, report, rates and validation documents all leave through dump_json in
 one canonical format, so identical inputs give byte-identical files: sorted
@@ -59,16 +62,17 @@ from .scenario import (
     Scenario,
     SideInformation,
     ValidationReport,
-    random_symbol,
     sequential_class_map,
 )
 
 TRACE_FORMAT = "ppir-trace/1"
 REPORT_FORMAT = "ppir-report/1"
-# The largest store a scenario document may describe, in symbols (F * L).  The
-# loader builds every message up front and each session reads whole messages,
-# so a larger store only ends in a run that exhausts time or memory.  The cap
-# admits F = 10**6 messages of L = 4 symbols, or 10**4 of L = 10**3.
+# The largest store a scenario document may describe, in symbols (F * L).  It
+# bounds the document, not what a session touches.  "random" messages are made
+# only when a session reads them, but the store still holds one entry per
+# message, explicit rows are checked whole, and a session reads whole messages
+# of L symbols.  The cap admits F = 10**6 messages of L = 4 symbols, or 10**4
+# of L = 10**3.
 MAX_STORE_SYMBOLS = 10**7
 
 
@@ -122,9 +126,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         for descriptor in members:
             f += 1
             if descriptor == "random":
-                rows.append(
-                    tuple(random_symbol(seed, f, ell, order) for ell in range(1, length + 1))
-                )
+                rows.append(None)  # the store makes it when a session first reads it
             elif isinstance(descriptor, list):
                 if len(descriptor) != length:
                     raise MalformedScenario(
@@ -135,7 +137,7 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
                 raise MalformedScenario(
                     f"message {f}: descriptor must be a symbol array or \"random\""
                 )
-    store = MessageStore(field, rows)
+    store = MessageStore(field, rows, length, seed)
 
     side_infos = []
     for u, entry in enumerate(users, start=1):

@@ -1,8 +1,9 @@
 """Embedded golden checks: the worked code, its parities, the packed codec at
-its worst case, and all rate numbers.
+its worst case, all rate numbers, and symbols of a loaded fixture.
 
 Everything asserted here is a constant baked into this module, so the selftest
-needs no files and catches a corrupted build of any layer it touches.
+needs no files beyond the bundled fixtures and catches a corrupted build of
+any layer it touches.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 from . import analytics, mds
 from .field import PrimeField
+from .fixtures import fixture_path
+from .scenario_io import load_scenario
 
 # The worked 5-message code over GF(11), which is also the default [8, 5] code,
 # and its two encoded rows.
@@ -38,6 +41,10 @@ WIDE_K = 8
 WIDE_MESSAGE = ((WIDE_ORDER - 1,) * 3,) * WIDE_K
 WIDE_PARITY = ((1357516451,) * 3, (1118907156,) * 3, (1548403885,) * 3)
 WIDE_POSITIONS = (4, 5, 6, 7, 8, 9, 10, 11)
+
+# Messages of five_class.json: 3 is an explicit row, the others "random"
+# rows that the store makes from the seed when they are first read.
+FIVE_CLASS_SYMBOLS = {1: (7, 3), 2: (6, 4), 3: (0, 1), 20: (9, 1), 39: (4, 2)}
 
 # Rate parameters of the worked scenarios.
 FIVE_CLASS = analytics.RateParams(5, 3, (7, 6, 8, 9, 9), ((3, 4, 5, 2, 3),))
@@ -105,6 +112,11 @@ def _check_wide_decode_block():
     assert mds.decode_block(_wide_generator(), WIDE_POSITIONS, known) == WIDE_MESSAGE
 
 
+def _check_five_class_symbols():
+    store = load_scenario(fixture_path("five_class.json")).scenario.store
+    assert {f: store.symbols(f) for f in FIVE_CLASS_SYMBOLS} == FIVE_CLASS_SYMBOLS
+
+
 def _check_five_class_rate():
     assert analytics.rate_isi(FIVE_CLASS) == Fraction(1, 12)
 
@@ -153,6 +165,7 @@ CHECKS = (
     ("decode_parity_tail", _check_decode_parity_tail),
     ("wide_parity_block", _check_wide_parity_block),
     ("wide_decode_block", _check_wide_decode_block),
+    ("five_class_symbols", _check_five_class_symbols),
     ("five_class_rate", _check_five_class_rate),
     ("five_class_baseline", _check_five_class_baseline),
     ("six_class_rate", _check_six_class_rate),

@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import wide_helper_document
-from ppir import PrimeField, build_systematic_generator, load_scenario, run_session, scenario_io, validate_scenario
+from ppir import (
+    PrimeField,
+    build_systematic_generator,
+    load_scenario,
+    run_session,
+    scenario,
+    scenario_io,
+    validate_scenario,
+)
 from ppir.cli import main
 from ppir.errors import MalformedScenario
 from ppir.fixtures import fixture_path
@@ -517,10 +525,63 @@ def test_store_cap_is_inclusive_and_checked_before_any_row(tmp_path, monkeypatch
     def no_rows(*args):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(scenario_io, "random_symbol", no_rows)
+    monkeypatch.setattr(scenario, "random_row", no_rows)
     path.write_text(tiny_text(symbols_per_message=3))
     with pytest.raises(MalformedScenario, match="exceeds 8 symbols"):
         load_scenario(path)
+
+
+def five_class_text(class_index, member, descriptor):
+    """five_class as JSON text, with one message's descriptor replaced."""
+    doc = json.loads(fixture_path("five_class.json").read_text())
+    doc["classes"][class_index][member] = descriptor
+    return json.dumps(doc)
+
+
+UNBUILDABLE_STORES = {
+    # Every explicit row is checked when the store is built, the last one too.
+    "bad-symbol-in-last-message": (five_class_text(-1, -1, [0, 11]), "message 39 symbol 11 outside [0, 11)"),
+    "wrong-length-row": (five_class_text(1, 0, [1, 2, 3]), "message 8: expected 2 symbols, got 3"),
+    # All "random": no row gives the length, so it comes from the document.
+    "zero-symbols-all-random": (tiny_text(symbols_per_message=0), "messages need at least 1 symbol"),
+    "negative-symbols-all-random": (tiny_text(symbols_per_message=-1), "messages need at least 1 symbol"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rates"])
+@pytest.mark.parametrize("name", list(UNBUILDABLE_STORES))
+def test_unbuildable_store_exits_2(tmp_path, capsys, name, command):
+    text, message = UNBUILDABLE_STORES[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(list(command_on(command, path))) == 2
+    out, err = capsys.readouterr()
+    assert err == f"parse error: {message}\n"
+    assert out == ""
+
+
+def million_message_document():
+    """F = 10**6 all-"random" messages: 8 classes of 125,000, L = 4, eta = 2."""
+    counts = [3, 3, 2, 2, 2, 2, 2, 2]
+    return {
+        "classes": [["random"] * 125_000 for _ in counts],
+        "eta": 2,
+        "field_order": 2**31 - 1,
+        "seed": 11,
+        "symbols_per_message": 4,
+        "users": [{"side_information": [list(range(1, k + 1)) for k in counts]}],
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+def test_million_message_document_runs_in_bounds(tmp_path, command):
+    # Only the rows a session reads are made, so neither command expands the store.
+    path = tmp_path / "million.json"
+    path.write_text(json.dumps(million_message_document()))
+    out = tmp_path / "out.json"
+    proc = run_cli(*command_on(command, path), "--out", str(out), timeout=10, max_bytes=512 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())
 
 
 def five_class_with(generator):
