@@ -37,8 +37,6 @@ from .mds import (
     build_systematic_generator,
     decode_from_positions,
     encode,
-    generator_from_explicit,
-    verify_mds,
 )
 from .queries import (
     Query,
@@ -92,7 +90,6 @@ __all__ = [
     "encode",
     "generate_multi_user_plan",
     "generate_single_user_plan",
-    "generator_from_explicit",
     "load_scenario",
     "plan_from_pairs",
     "privacy_report",
@@ -111,5 +108,4 @@ __all__ = [
     "session_generator",
     "tv_distance",
     "validate_scenario",
-    "verify_mds",
 ]

@@ -25,16 +25,8 @@ class BadDimensions(PpirError):
     """Code dimensions violate 1 <= k < n."""
 
 
-class NotSystematic(PpirError):
-    """Explicit generator's first k columns are not the identity."""
-
-
 class LengthMismatch(PpirError):
     """Vector length does not match the code dimension."""
-
-
-class SingularSubmatrix(PpirError):
-    """Erasure decoding hit a singular column set: only a caller-built generator that is not MDS has one."""
 
 
 # --- scenario model ---

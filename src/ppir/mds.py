@@ -1,18 +1,18 @@
-"""Systematic [n, k] MDS codes over GF(q): construction, encoding, erasure decoding.
+"""The systematic [n, k] Reed-Solomon code over GF(q): construction, encoding, erasure decoding.
 
-The default construction is a systematic Reed-Solomon code on the evaluation
-points 0, 1, ..., n-1: row i of the generator is the degree-(k-1) Lagrange
-basis polynomial through the i-th systematic point, evaluated at all n points.
-It is computed with the codec's own primitives as V_k^-1 V, where V is the
-k x n Vandermonde matrix with rows x^e mod q and V_k its first k columns: one
-_column_inverse of V_k, then one _combine of that inverse with V's rows.
-Every k-column minor of V_k^-1 V is a nonzero Vandermonde minor over det V_k,
-so the default code is MDS for every n <= q.  Every session uses it.
-generator_from_explicit wraps a caller's own matrix after a format check, and
-verify_mds checks any generator's minors exhaustively.
-Erasure decoding recovers the message from k codeword positions by inverting
-their column submatrix (SingularSubmatrix when it is singular, which only a
-caller's non-MDS matrix allows); no error correction is attempted.
+Every session uses one code: the systematic Reed-Solomon code on the
+evaluation points 0, 1, ..., n-1.  Row i of its generator is the degree-(k-1)
+Lagrange basis polynomial l_i through the i-th systematic point, evaluated at
+all n points, so the generator equals V_k^-1 V, where V is the k x n
+Vandermonde matrix with rows x^e mod q and V_k its first k columns.  Every
+k-column minor of V_k^-1 V is a nonzero Vandermonde minor over det V_k, so the
+code is MDS for every n <= q.  Both matrices the codec needs are Lagrange
+matrices in closed form (_lagrange): the generator is the basis on the points
+0..k-1 evaluated at 0..n-1, its parity block the values at k..n-1, and the
+inverse of the columns at any k distinct positions is the basis on their
+points evaluated at 0..k-1, which interpolates the message from them.
+Erasure decoding recovers the message from any k codeword positions this way;
+no error correction is attempted.
 
 The codec works on blocks of L symbol positions at once.  parity_block
 multiplies a k x L message block by the k x (n - k) parity columns only, and
@@ -32,80 +32,40 @@ Codeword positions, like every index in this package, are 1-based.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from struct import Struct, error as StructError
 
-from .errors import (
-    BadDimensions,
-    FieldTooSmall,
-    LengthMismatch,
-    NotSystematic,
-    SingularSubmatrix,
-)
+from .errors import BadDimensions, FieldTooSmall, LengthMismatch
 from .field import PrimeField
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Systematic k x n generator matrix; immutable and hashable."""
+    """The systematic [n, k] Reed-Solomon code on the points 0..n-1 over GF(q).
+
+    Immutable and hashable by (field, n, k), which fix it; rows, its k x n
+    generator matrix, is derived from them.
+    """
 
     field: PrimeField
-    rows: tuple[tuple[int, ...], ...]
+    n: int
+    k: int
+    rows: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False, compare=False)
 
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
+    def __post_init__(self):
+        if self.k < 1 or self.k >= self.n:
+            raise BadDimensions(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        if self.n > self.field.order:
+            raise FieldTooSmall(f"length {self.n} exceeds field order {self.field.order}")
+        object.__setattr__(self, "rows", _lagrange(self, range(self.k), self.n))
 
 
 @lru_cache(maxsize=1024)
 def build_systematic_generator(n: int, k: int, field: PrimeField) -> Generator:
-    """Deterministic systematic Reed-Solomon generator for given (n, k, q); cached."""
-    if k < 1 or k >= n:
-        raise BadDimensions(f"need 1 <= k < n, got k={k}, n={n}")
-    if n > field.order:
-        raise FieldTooSmall(f"length {n} exceeds field order {field.order}")
-    q = field.order
-    vandermonde = Generator(field, tuple(tuple(pow(x, e, q) for x in range(n)) for e in range(k)))
-    inv = _column_inverse(vandermonde, tuple(range(1, k + 1)))
-    return Generator(field, _combine(inv, vandermonde.rows, q))
-
-
-def generator_from_explicit(rows, field: PrimeField) -> Generator:
-    """Wrap an explicit generator after checking its format only: dimensions,
-    entries in [0, q) and the identity in the first k columns; no minor."""
-    k = len(rows)
-    if k == 0:
-        raise BadDimensions("empty matrix")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise BadDimensions("ragged rows")
-    if not 1 <= k < n:
-        raise BadDimensions(f"need 1 <= k < n, got k={k}, n={n}")
-    q = field.order
-    for r in rows:
-        for v in r:
-            if type(v) is not int or not 0 <= v < q:
-                raise BadDimensions(f"entry {v!r} outside [0, {q})")
-    for i, r in enumerate(rows):
-        if list(r[:k]) != [int(i == j) for j in range(k)]:
-            raise NotSystematic(f"column block [1..{k}] is not the identity in row {i + 1}")
-    return Generator(field, tuple(tuple(r) for r in rows))
-
-
-def verify_mds(gen: Generator) -> bool:
-    """True iff every k-column submatrix is invertible: the exhaustive check, C(n, k) inversions."""
-    for cols in itertools.combinations(range(1, gen.n + 1), gen.k):
-        try:
-            _column_inverse(gen, cols)
-        except SingularSubmatrix:
-            return False
-    return True
+    """The systematic Reed-Solomon generator for given (n, k, q); cached."""
+    return Generator(field, n, k)
 
 
 def encode(gen: Generator, message) -> tuple[int, ...]:
@@ -119,7 +79,7 @@ def decode_from_positions(gen: Generator, positions, values) -> tuple[int, ...]:
     """Recover the message from k known codeword coordinates.
 
     positions are 1-based codeword indices; values[i] is the symbol observed at
-    positions[i].  Any k distinct positions of an MDS generator suffice.
+    positions[i].  Any k distinct positions suffice.
     """
     return tuple(row[0] for row in decode_block(gen, positions, [(v,) for v in values]))
 
@@ -195,7 +155,7 @@ def _combine(coefficients, rows, q: int) -> tuple[tuple[int, ...], ...]:
     for coeffs in coefficients:
         x = 0
         for c, p in zip(coeffs, packed):
-            c %= q  # an unchecked Generator may hold entries outside [0, q)
+            c %= q  # a caller's coefficient may lie outside [0, q)
             if c:
                 x += c * p
         x -= ((x * magic >> shift) & quotients) * q
@@ -252,24 +212,45 @@ def _pack(row, q: int, slots: Struct, high: int) -> int:
 
 @lru_cache(maxsize=65536)
 def _column_inverse(gen: Generator, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the k x k submatrix formed by the given 1-based columns."""
-    k = gen.k
+    """Inverse of the k x k submatrix formed by the given 1-based columns.
+
+    Column c holds the basis l_0..l_{k-1} at the point c - 1, so the inverse
+    interpolates: it maps the values at the points cols - 1 to the values at
+    0..k-1, which are the message.
+    """
+    return _lagrange(gen, [c - 1 for c in cols], gen.k)
+
+
+def _lagrange(gen: Generator, points, count: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds l_j(x) for x = 0..count-1, l_j the Lagrange basis polynomial
+    on the distinct points, every point and x in 0..n-1.
+
+    Off the points, l_j(x) = P(x) * w_j / (x - p_j) with P(x) = prod_m (x - p_m)
+    and w_j = prod_{m != j} 1 / (p_j - p_m); on them, l_j(p_m) = [m == j], and
+    P(p_m) = 0.  Every difference lies in [1 - n, n - 1] and is nonzero mod q
+    since n <= q, so one O(n) table of the inverses of 1..n-1 serves them all.
+    """
     q = gen.field.order
-    a = [[gen.rows[r][c - 1] for c in cols] for r in range(k)]
-    inv = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSubmatrix(f"columns {cols} are linearly dependent")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = pow(a[col][col], -1, q)
-        a[col] = [v * scale % q for v in a[col]]
-        inv[col] = [v * scale % q for v in inv[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [(v - factor * w) % q for v, w in zip(a[r], a[col])]
-                inv[r] = [(v - factor * w) % q for v, w in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    inv = [0, 1]
+    for i in range(2, gen.n):
+        inv.append((q - q // i) * inv[q % i] % q)
+    inv += [q - v for v in reversed(inv[1:])]  # inv[-d] is the inverse of -d
+    points = list(points)
+    on_points = set(points)
+    at = [0 if x in on_points else _prod_mod((x - p for p in points), q) for x in range(count)]
+    rows = []
+    for p in points:
+        w = _prod_mod((inv[p - m] for m in points if m != p), q)
+        row = [a * w * inv[x - p] % q for x, a in enumerate(at)]
+        if p < count:
+            row[p] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _prod_mod(values, q: int) -> int:
+    """The product of values mod q, reduced at every step."""
+    out = 1
+    for v in values:
+        out = out * v % q
+    return out

@@ -8,6 +8,7 @@ any layer it touches.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import analytics, mds
@@ -15,7 +16,7 @@ from .field import PrimeField
 from .fixtures import fixture_path
 from .scenario_io import load_scenario
 
-# The worked 5-message code over GF(11), which is also the default [8, 5] code,
+# The worked 5-message code over GF(11), which is the default [8, 5] code,
 # and its two encoded rows.
 GOLDEN_MATRIX = (
     (1, 0, 0, 0, 0, 1, 5, 4),
@@ -32,15 +33,17 @@ GOLDEN_POSITIONS = (1, 2, 6, 7, 8)
 GOLDEN_VALUES = (0, 1, 10, 8, 10)
 
 # The packed codec at its worst case: q = 2**31 - 1, every message symbol
-# q - 1, k = 8 and L = 3, so a parity sum needs 65 bits and spans both words of
-# its slot.  The parity columns form the Cauchy matrix 1 / (i - 8 - j) (i < 8,
-# j < 3); the parities are sum_i G[i][8 + j] * (q - 1) mod q, computed symbol
-# by symbol with plain ints.
+# q - 1, k = 8 and L = 3, so a slot sum needs 65 bits and spans both words of
+# its slot.  WIDE_PARITY combines the message by the Cauchy columns
+# 1 / (i - 8 - j) (i < 8, j < 3), computed symbol by symbol with plain ints.
+# The default [11, 8] code's basis sums to 1 at every point, so it encodes
+# WIDE_MESSAGE with every parity q - 1, and decoding that codeword from
+# WIDE_POSITIONS sums 65-bit slots too.
 WIDE_ORDER = 2**31 - 1
 WIDE_K = 8
 WIDE_MESSAGE = ((WIDE_ORDER - 1,) * 3,) * WIDE_K
 WIDE_PARITY = ((1357516451,) * 3, (1118907156,) * 3, (1548403885,) * 3)
-WIDE_POSITIONS = (4, 5, 6, 7, 8, 9, 10, 11)
+WIDE_POSITIONS = (1, 2, 3, 4, 5, 6, 7, 9)
 
 # Messages of five_class.json: 3 is an explicit row, the others "random"
 # rows that the store makes from the seed when they are first read.
@@ -58,25 +61,7 @@ UNEQUAL_USERS = analytics.RateParams(4, 3, (30, 30, 30, 30), ((11, 11, 11, 0), (
 
 
 def _generator() -> mds.Generator:
-    return mds.generator_from_explicit([list(r) for r in GOLDEN_MATRIX], PrimeField(11))
-
-
-def _wide_generator() -> mds.Generator:
-    field = PrimeField(WIDE_ORDER)
-    rows = [
-        [1 if j == i else 0 for j in range(WIDE_K)] + [field.inv(i - WIDE_K - j) for j in range(3)]
-        for i in range(WIDE_K)
-    ]
-    return mds.generator_from_explicit(rows, field)
-
-
-def _check_generator_accepted():
-    gen = _generator()
-    assert gen.n == 8 and gen.k == 5
-
-
-def _check_generator_mds():
-    assert mds.verify_mds(_generator())
+    return mds.build_systematic_generator(8, 5, PrimeField(11))
 
 
 def _check_default_code_is_worked_matrix():
@@ -96,6 +81,12 @@ def _check_decode_mixed_positions():
     assert got == GOLDEN_MESSAGE_1
 
 
+def _check_decode_every_position_set():
+    for positions in itertools.combinations(range(1, 9), 5):
+        values = tuple(GOLDEN_CODEWORD_1[p - 1] for p in positions)
+        assert mds.decode_from_positions(_generator(), positions, values) == GOLDEN_MESSAGE_1, positions
+
+
 def _check_decode_parity_tail():
     positions = (4, 5, 6, 7, 8)
     values = tuple(GOLDEN_CODEWORD_2[p - 1] for p in positions)
@@ -103,13 +94,16 @@ def _check_decode_parity_tail():
 
 
 def _check_wide_parity_block():
-    assert mds.parity_block(_wide_generator(), WIDE_MESSAGE) == WIDE_PARITY
+    field = PrimeField(WIDE_ORDER)
+    columns = [[field.inv(i - WIDE_K - j) for i in range(WIDE_K)] for j in range(3)]
+    assert mds._combine(columns, WIDE_MESSAGE, WIDE_ORDER) == WIDE_PARITY
 
 
 def _check_wide_decode_block():
-    codeword = WIDE_MESSAGE + WIDE_PARITY
+    gen = mds.build_systematic_generator(WIDE_K + 3, WIDE_K, PrimeField(WIDE_ORDER))
+    codeword = WIDE_MESSAGE + ((WIDE_ORDER - 1,) * 3,) * 3
     known = [codeword[p - 1] for p in WIDE_POSITIONS]
-    assert mds.decode_block(_wide_generator(), WIDE_POSITIONS, known) == WIDE_MESSAGE
+    assert mds.decode_block(gen, WIDE_POSITIONS, known) == WIDE_MESSAGE
 
 
 def _check_five_class_symbols():
@@ -156,12 +150,11 @@ def _check_unequal_users_naive_rate():
 
 
 CHECKS = (
-    ("generator_accepted", _check_generator_accepted),
-    ("generator_mds", _check_generator_mds),
     ("default_code_is_worked_matrix", _check_default_code_is_worked_matrix),
     ("encode_first_row", _check_encode_first_row),
     ("encode_second_row", _check_encode_second_row),
     ("decode_mixed_positions", _check_decode_mixed_positions),
+    ("decode_every_position_set", _check_decode_every_position_set),
     ("decode_parity_tail", _check_decode_parity_tail),
     ("wide_parity_block", _check_wide_parity_block),
     ("wide_decode_block", _check_wide_decode_block),

@@ -22,7 +22,6 @@ from ppir import (
     build_systematic_generator,
     decode_from_positions,
     encode,
-    generator_from_explicit,
     plan_from_pairs,
     query_distribution,
     rate_isi,
@@ -65,7 +64,9 @@ def _report(criterion, detail, elapsed, budget):
 
 @pytest.fixture(scope="module")
 def golden_generator():
-    return generator_from_explicit([list(r) for r in GOLDEN_MATRIX], PrimeField(11))
+    gen = build_systematic_generator(8, 5, PrimeField(11))
+    assert gen.rows == GOLDEN_MATRIX
+    return gen
 
 
 def test_criterion_1_encode_goldens(golden_generator):

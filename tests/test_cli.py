@@ -584,6 +584,29 @@ def test_million_message_document_runs_in_bounds(tmp_path, command):
     assert json.loads(out.read_text())
 
 
+def thousand_class_document():
+    """Gamma = 1,000 one-message classes, eta = 1, empty SI, L = 1: a [2000, 1000] code."""
+    return {
+        "classes": [["random"] for _ in range(1000)],
+        "eta": 1,
+        "field_order": 2**31 - 1,
+        "seed": 0,
+        "symbols_per_message": 1,
+        "users": [{"side_information": [[] for _ in range(1000)]}],
+    }
+
+
+@pytest.mark.parametrize("command", [("run", "--demand", "2"), ("rates",)], ids=["run", "rates"])
+def test_thousand_class_document_runs_in_bounds(tmp_path, command):
+    # The code's generator and decoder inverse are closed forms, O(Gamma^2) each.
+    path = tmp_path / "thousand.json"
+    path.write_text(json.dumps(thousand_class_document()))
+    out = tmp_path / "out.json"
+    proc = run_cli(command[0], str(path), *command[1:], "--out", str(out), timeout=20, max_bytes=512 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())
+
+
 def five_class_with(generator):
     doc = json.loads(fixture_path("five_class.json").read_text())
     doc["explicit_generator"] = generator

@@ -5,24 +5,15 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppir.errors import (
-    BadDimensions,
-    FieldTooSmall,
-    LengthMismatch,
-    NonPrimeOrder,
-    NotSystematic,
-    SingularSubmatrix,
-)
+from ppir import mds
+from ppir.errors import BadDimensions, FieldTooSmall, LengthMismatch, NonPrimeOrder
 from ppir.field import MAX_ORDER, PrimeField
 from ppir.mds import (
-    Generator,
     build_systematic_generator,
     decode_block,
     decode_from_positions,
     encode,
-    generator_from_explicit,
     parity_block,
-    verify_mds,
 )
 from ppir.selftest import (
     GOLDEN_CODEWORD_1,
@@ -30,14 +21,49 @@ from ppir.selftest import (
     GOLDEN_MATRIX,
     GOLDEN_MESSAGE_1,
     GOLDEN_MESSAGE_2,
+    WIDE_MESSAGE,
+    WIDE_ORDER,
+    WIDE_POSITIONS,
 )
 
 STANDARD_SHAPES = [(4, 2, 5), (6, 3, 7), (8, 5, 11), (10, 6, 11), (12, 7, 13)]
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return generator_from_explicit([list(r) for r in GOLDEN_MATRIX], PrimeField(11))
+    gen = build_systematic_generator(8, 5, PrimeField(11))
+    assert gen.rows == GOLDEN_MATRIX
+    return gen
+
+
+def _gauss_jordan_inverse(matrix, q):
+    """Inverse of a square matrix mod q by Gauss-Jordan elimination; None when it is singular."""
+    k = len(matrix)
+    a = [[v % q for v in row] + [int(r == c) for c in range(k)] for r, row in enumerate(matrix)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        scale = pow(a[col][col], -1, q)
+        a[col] = [v * scale % q for v in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [(v - factor * w) % q for v, w in zip(a[r], a[col])]
+    return tuple(tuple(row[k:]) for row in a)
+
+
+def _reference_generator(n, k, q):
+    """V_k^-1 V by Gauss-Jordan, V the k x n Vandermonde matrix on the points 0..n-1."""
+    v = [[pow(x, e, q) for x in range(n)] for e in range(k)]
+    inverse = _gauss_jordan_inverse([row[:k] for row in v], q)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) % q for col in zip(*v)) for row in inverse)
+
+
+def _reference_inverse(gen, cols):
+    return _gauss_jordan_inverse([[row[c - 1] for c in cols] for row in gen.rows], gen.field.order)
 
 
 class TestConstruction:
@@ -46,7 +72,8 @@ class TestConstruction:
         gen = build_systematic_generator(n, k, PrimeField(q))
         for i in range(k):
             assert gen.rows[i][:k] == tuple(1 if j == i else 0 for j in range(k))
-        assert verify_mds(gen)
+        for cols in itertools.combinations(range(1, n + 1), k):
+            assert _reference_inverse(gen, cols) is not None, cols
 
     @pytest.mark.parametrize("n,k,q", STANDARD_SHAPES)
     def test_deterministic(self, n, k, q):
@@ -85,34 +112,33 @@ class TestConstruction:
                 assert build_systematic_generator(n, k, field).rows == expected, (n, k)
 
 
-class TestExplicit:
-    def test_published_matrix_accepted(self, golden):
-        assert golden.n == 8 and golden.k == 5
-        assert verify_mds(golden)
+class TestClosedForm:
+    """The closed-form generator and column inverses against Gauss-Jordan."""
 
-    def test_zero_column_rejected(self):
-        # The zero parity column 3 makes both column sets (1, 3) and (2, 3)
-        # singular, so decoding from either names the set instead of guessing.
-        gen = generator_from_explicit([[1, 0, 0], [0, 1, 0]], PrimeField(11))
-        for positions in ((1, 3), (2, 3)):
-            with pytest.raises(SingularSubmatrix) as err:
-                decode_from_positions(gen, positions, (0, 0))
-            assert str(positions) in str(err.value)
+    @pytest.mark.parametrize("q", SMALL_PRIMES + [17, 19, 23])
+    def test_generator_matches_gauss_jordan(self, q):
+        field = PrimeField(q)
+        for n in range(2, q + 1):
+            for k in range(1, n):
+                assert build_systematic_generator(n, k, field).rows == _reference_generator(n, k, q), (n, k)
 
-    def test_format_check_only(self):
-        # generator_from_explicit checks no minor: a zero parity column passes it.
-        assert not verify_mds(generator_from_explicit([[1, 0, 0], [0, 1, 0]], PrimeField(11)))
+    @pytest.mark.parametrize("q", SMALL_PRIMES)
+    def test_every_column_inverse_matches_gauss_jordan(self, q):
+        field = PrimeField(q)
+        for n in range(2, q + 1):
+            for k in range(1, n):
+                gen = build_systematic_generator(n, k, field)
+                for cols in itertools.combinations(range(1, n + 1), k):
+                    assert mds._column_inverse(gen, cols) == _reference_inverse(gen, cols), (n, k, cols)
 
-    def test_swapped_columns_rejected(self):
-        rows = [list(r) for r in GOLDEN_MATRIX]
-        for r in rows:
-            r[0], r[1] = r[1], r[0]
-        with pytest.raises(NotSystematic):
-            generator_from_explicit(rows, PrimeField(11))
-
-    def test_out_of_range_entry_rejected(self):
-        with pytest.raises(BadDimensions):
-            generator_from_explicit([[1, 0, 11], [0, 1, 1]], PrimeField(11))
+    @pytest.mark.parametrize("k,d", [(30, 5), (60, 0), (120, 10)])
+    def test_decoder_inverses_match_gauss_jordan(self, k, d):
+        # A session's decoder set: d known systematic positions, then every parity.
+        gen = build_systematic_generator(2 * k - d, k, PrimeField(MAX_ORDER))
+        rng = random.Random(k)
+        for _ in range(2):
+            cols = tuple(sorted(rng.sample(range(1, k + 1), d))) + tuple(range(k + 1, gen.n + 1))
+            assert mds._column_inverse(gen, cols) == _reference_inverse(gen, cols)
 
 
 class TestEncode:
@@ -179,18 +205,6 @@ def _prime_at_most(x):
             x -= 1
 
 
-def _cauchy_generator(n, k, field, rng):
-    """Random systematic MDS generator [I | C], C a Cauchy matrix on distinct random points."""
-    q = field.order
-    points = rng.sample(range(q), n)
-    xs, ys = points[:k], points[k:]
-    rows = [
-        [1 if j == i else 0 for j in range(k)] + [field.inv(x - y) for y in ys]
-        for i, x in enumerate(xs)
-    ]
-    return generator_from_explicit(rows, field)
-
-
 @st.composite
 def block_cases(draw):
     q_cap = draw(st.sampled_from([2, 3, 13, 257, 65_537, MAX_ORDER]))
@@ -198,10 +212,7 @@ def block_cases(draw):
     n = draw(st.integers(2, min(field.order, 9)))
     k = draw(st.integers(1, n - 1))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    if draw(st.booleans()):
-        gen = build_systematic_generator(n, k, field)
-    else:
-        gen = _cauchy_generator(n, k, field, rng)
+    gen = build_systematic_generator(n, k, field)
     length = draw(st.integers(1, 16))
     message = [tuple(rng.randrange(field.order) for _ in range(length)) for _ in range(k)]
     positions = rng.sample(range(1, n + 1), k)
@@ -256,21 +267,24 @@ def test_block_decoder_rejects_bad_positions_like_symbolwise(case, data):
     assert str(err.value) == f"need k={k} values, got {k - 1}"
 
 
-def _reference_parity(gen, rows):
-    """sum_i G[i][k + p] * rows[i][l] mod q, one symbol at a time with plain ints."""
-    k, q = gen.k, gen.field.order
+def _reference_combine(columns, rows, q):
+    """sum_i c[i] * rows[i][l] mod q for each coefficient column c, one symbol at a time with plain ints."""
     return tuple(
-        tuple(sum(gen.rows[i][k + p] * rows[i][ell] for i in range(k)) % q for ell in range(len(rows[0])))
-        for p in range(gen.n - k)
+        tuple(sum(c[i] * row[ell] for i, row in enumerate(rows)) % q for ell in range(len(rows[0]))) for c in columns
     )
 
 
-def _parity_generator(k, columns, q):
-    """[I | columns] as a Generator, unchecked: parity_block needs no MDS property."""
-    return Generator(
-        PrimeField(q),
-        tuple(tuple([1 if j == i else 0 for j in range(k)] + [col[i] for col in columns]) for i in range(k)),
-    )
+def _reference_parity(gen, rows):
+    """The parity rows by the formula: sum_i G[i][k + p] * rows[i][l] mod q."""
+    return _reference_combine(list(zip(*(row[gen.k :] for row in gen.rows))), rows, gen.field.order)
+
+
+def _assert_combines(columns, rows, q):
+    """mds._combine, the body of parity_block and decode_block, against the formula."""
+    got = mds._combine(columns, rows, q)
+    assert got == _reference_combine(columns, rows, q)
+    assert all(0 <= v < q for row in got for v in row)
+    return got
 
 
 ORACLE_LENGTHS = [1, 2, 7, 513]
@@ -285,17 +299,14 @@ class TestOracle:
         # Every coefficient and symbol is q - 1: a slot sum of k (q - 1)^2 needs
         # more than 64 bits from k = 5 on.
         q = MAX_ORDER
-        gen = _parity_generator(k, [[q - 1] * k] * 3, q)
-        message = [(q - 1,) * length] * k
-        assert parity_block(gen, message) == _reference_parity(gen, message)
+        _assert_combines([[q - 1] * k] * 3, [(q - 1,) * length] * k, q)
 
     @pytest.mark.parametrize("length", ORACLE_LENGTHS)
     @pytest.mark.parametrize("k", [1, 2, 8, 40])
     def test_worst_case_decode(self, k, length):
-        # One all-(q - 1) parity column keeps [I | c] MDS; dropping position 1
-        # gives an inverse of entries 1 and q - 1, applied to rows of q - 1.
+        # The [k + 1, k] code without position 1: its inverse, applied to rows of q - 1.
         q = MAX_ORDER
-        gen = _parity_generator(k, [[q - 1] * k], q)
+        gen = build_systematic_generator(k + 1, k, PrimeField(q))
         positions = list(range(2, k + 2))
         known = [(q - 1,) * length] * k
         decoded = decode_block(gen, positions, known)
@@ -307,7 +318,7 @@ class TestOracle:
     def test_random_blocks(self, length):
         rng = random.Random(length)
         q = MAX_ORDER
-        gen = _cauchy_generator(12, 7, PrimeField(q), rng)
+        gen = build_systematic_generator(12, 7, PrimeField(q))
         message = [tuple(rng.randrange(q) for _ in range(length)) for _ in range(gen.k)]
         parity = parity_block(gen, message)
         assert parity == _reference_parity(gen, message)
@@ -319,12 +330,9 @@ class TestOracle:
     def test_zero_coefficients(self, length):
         q = MAX_ORDER
         columns = [[0] * 6, [q - 1, 0, 0, q - 1, 0, 1], [0, 0, 0, 0, 0, q - 1]]
-        gen = _parity_generator(6, columns, q)
         rng = random.Random(length)
         message = [tuple(rng.choice((0, 1, q - 1)) for _ in range(length)) for _ in range(6)]
-        parity = parity_block(gen, message)
-        assert parity == _reference_parity(gen, message)
-        assert parity[0] == (0,) * length
+        assert _assert_combines(columns, message, q)[0] == (0,) * length
 
     @pytest.mark.parametrize("length", ORACLE_LENGTHS)
     def test_all_zero_block(self, length):
@@ -354,9 +362,11 @@ class TestAnyIntSymbol:
     @pytest.mark.parametrize("symbol", [-1, -(2**64), MAX_ORDER, 2**64 - 1, 2**64, 2**64 + 5, 2**127])
     def test_block_codec_takes_residues(self, symbol):
         q = MAX_ORDER
-        gen = _parity_generator(4, [[q - 1] * 4, [1, 2, 3, q - 2]], q)
+        columns = [[q - 1] * 4, [1, 2, 3, q - 2]]
         message = [(symbol, 5, q - 1), (q - 1, symbol, 0), (symbol, symbol, symbol), (7, 8, 9)]
         reduced = [tuple(v % q for v in row) for row in message]
+        assert mds._combine(columns, message, q) == _reference_combine(columns, reduced, q)
+        gen = build_systematic_generator(6, 4, PrimeField(q))
         assert parity_block(gen, message) == _reference_parity(gen, reduced)
         positions = [5, 2, 3, 4]
         decoded = decode_block(gen, positions, message)
@@ -364,11 +374,10 @@ class TestAnyIntSymbol:
         assert all(0 <= v < q for row in decoded for v in row)
 
     def test_unreduced_generator_entries(self):
-        # Generator itself checks nothing; its entries count as their residues too.
+        # The coefficients _combine takes from a generator or an inverse count
+        # as their residues too, wherever they come from.
         q = 11
-        gen = _parity_generator(3, [[-1, 12, 2**64], [-(2**70), 0, 2**127]], q)
-        message = [(3, 0, 10), (q - 1, 1, 2), (7, 7, 7)]
-        assert parity_block(gen, message) == _reference_parity(gen, message)
+        _assert_combines([[-1, 12, 2**64], [-(2**70), 0, 2**127]], [(3, 0, 10), (q - 1, 1, 2), (7, 7, 7)], q)
 
 
 PACKED_FIELDS = [2, 3, 11, 65521, MAX_ORDER]
@@ -381,21 +390,6 @@ def _assert_decodes(gen, positions, known):
     assert all(0 <= v < q for row in decoded for v in row)
     codeword = list(decoded) + list(_reference_parity(gen, decoded))
     assert [codeword[p - 1] for p in positions] == [tuple(v % q for v in row) for row in known]
-
-
-class _ParityOnlyRow:
-    """Row i of an unchecked [I | c] generator too large to store: it serves
-    only len() and the parity slice row[k:] that parity_block reads."""
-
-    def __init__(self, k, parity):
-        self.k, self.parity = k, parity
-
-    def __len__(self):
-        return self.k + 1
-
-    def __getitem__(self, index):
-        assert index == slice(self.k, None), index
-        return (self.parity,)
 
 
 class TestPackedReduction:
@@ -419,11 +413,13 @@ class TestPackedReduction:
         k = len(draws)
         message = [tuple(draw() for _ in range(length)) for draw in draws.values()]
         message[1] = (rng.randrange(q, 1 << b),) + message[1][1:]  # at least one symbol in [q, 2**b)
-        columns = [[q - 1] * k, [rng.randrange(q) for _ in range(k)], [0] * k]
-        gen = _parity_generator(k, columns, q)
-        assert parity_block(gen, message) == _reference_parity(gen, message)
-        _assert_decodes(gen, [6, 1, 2, 3, 4], message)
-        _assert_decodes(gen, list(range(2, k + 2)), message)
+        _assert_combines([[q - 1] * k, [rng.randrange(q) for _ in range(k)], [0] * k], message, q)
+        # The largest default code GF(q) allows, up to [8, 5], decoding its
+        # first and its last rows from one parity and from every parity.
+        gen = build_systematic_generator(min(q, k + 3), min(k, q - 1), PrimeField(q))
+        for known in (message[: gen.k], message[-gen.k :]):
+            _assert_decodes(gen, [gen.n] + list(range(1, gen.k)), known)
+            _assert_decodes(gen, list(range(gen.n - gen.k + 1, gen.n + 1)), known)
 
     @pytest.mark.parametrize("q", [3, 11, 65521, MAX_ORDER])
     def test_sums_on_either_side_of_a_multiple_of_q(self, q):
@@ -446,9 +442,25 @@ class TestPackedReduction:
         sums = [c * t for c in (1, q - 1) for t in targets]
         short = [x * ((1 << shift) // q) >> shift < x // q for x in sums]
         assert all(is_short for is_short, x in zip(short, sums) if x % q == 0) and not all(short)
-        gen = _parity_generator(k, [[1] * k, [q - 1] * k], q)
-        assert parity_block(gen, message) == _reference_parity(gen, message)
-        _assert_decodes(gen, list(range(2, k + 2)), message)
+        _assert_combines([[1] * k, [q - 1] * k], message, q)
+        gen = build_systematic_generator(min(q, k + 2), min(k, q - 1), PrimeField(q))
+        _assert_decodes(gen, list(range(gen.n - gen.k + 1, gen.n + 1)), message[: gen.k])
+
+    @pytest.mark.parametrize("q,k", [(393_241, 4), (98_317, 32)])
+    def test_slot_with_no_spare_bit(self, q, k):
+        # Here 2B - b + 1 is exactly one 64-bit slot, so the bits shifted in
+        # from the next slot start right above the B - b + 1 quotient bits: a
+        # mask one bit wider would take the neighbour's lowest bit.  That bit
+        # is x * (2**B // q)'s lowest, which is never set when the multiplier
+        # is even (as at 2**19 - 1 or 2**16 + 1), so these primes make it odd.
+        b = q.bit_length()
+        shift = 2 * b + k.bit_length()
+        assert 2 * shift - b + 1 == 64 and (1 << shift) // q % 2 == 1
+        rng = random.Random(q)
+        message = [tuple(rng.randrange(q) for _ in range(8)) for _ in range(k)]
+        _assert_combines([[q - 1] * k, [rng.randrange(q) for _ in range(k)]], message, q)
+        gen = build_systematic_generator(k + 3, k, PrimeField(q))
+        _assert_decodes(gen, list(range(4, k + 4)), message)
 
     @pytest.mark.parametrize("symbol", ["worst", "random"])
     @pytest.mark.parametrize("q", [MAX_ORDER, 1_610_612_741])
@@ -463,6 +475,14 @@ class TestPackedReduction:
         draw = (lambda: q - 1) if symbol == "worst" else (lambda: rng.randrange(q))
         coefficients = [draw() for _ in range(k)]
         message = [(draw(), draw()) for _ in range(k)]
-        gen = Generator(PrimeField(q), tuple(_ParityOnlyRow(k, c) for c in coefficients))
-        expected = tuple(sum(c * row[ell] for c, row in zip(coefficients, message)) % q for ell in range(2))
-        assert parity_block(gen, message) == (expected,)
+        _assert_combines([coefficients], message, q)
+
+
+def test_selftest_wide_decode_needs_65_bit_slot_sums():
+    # The selftest's wide_decode_block checks the packed codec's worst case only
+    # while a slot sum of its decode spans both 64-bit words of the slot.
+    gen = build_systematic_generator(len(WIDE_MESSAGE) + 3, len(WIDE_MESSAGE), PrimeField(WIDE_ORDER))
+    inverse = mds._column_inverse(gen, WIDE_POSITIONS)
+    symbol = WIDE_MESSAGE[0][0]  # every known symbol, parities included, is q - 1
+    sums = [sum(row[r] * symbol for row in inverse) for r in range(gen.k)]
+    assert max(x.bit_length() for x in sums) == 65
